@@ -32,14 +32,6 @@ inline bool has_flag(int argc, char** argv, const char* flag) {
   return false;
 }
 
-/// Parse `<flag> <int>` from argv (`dflt` if absent or unparsable).
-inline int arg_int(int argc, char** argv, const char* flag, int dflt) {
-  const std::string v = arg_path(argc, argv, flag);
-  if (v.empty()) return dflt;
-  const long n = std::strtol(v.c_str(), nullptr, 10);
-  return n > 0 ? static_cast<int>(n) : dflt;
-}
-
 /// The flag surface shared by the figure benches, parsed once. Individual
 /// benches ignore fields they have no use for; what matters is that the
 /// *parsing* lives here instead of being copy-pasted per bench.
@@ -49,12 +41,10 @@ struct BenchArgs {
   std::string profile_json;     // --profile-json <path>
   std::string timeseries_json;  // --timeseries-json <path>
   std::string flight_json;      // --flight-json <path>
-  std::string out;              // --out <path> (bench-specific JSON)
   bool smoke = false;           // --smoke: reduced workload
   bool ablate = false;          // --ablate: parameter sweeps
   bool strict_health = false;   // --strict-health: watchdog trips fail run
   bool inject_stall = false;    // --inject-stall: black-hole one sender
-  int repeat = 1;               // --repeat N: wall-clock de-noising
 
   static BenchArgs parse(int argc, char** argv) {
     BenchArgs a;
@@ -63,12 +53,10 @@ struct BenchArgs {
     a.profile_json = arg_path(argc, argv, "--profile-json");
     a.timeseries_json = arg_path(argc, argv, "--timeseries-json");
     a.flight_json = arg_path(argc, argv, "--flight-json");
-    a.out = arg_path(argc, argv, "--out");
     a.smoke = has_flag(argc, argv, "--smoke");
     a.ablate = has_flag(argc, argv, "--ablate");
     a.strict_health = has_flag(argc, argv, "--strict-health");
     a.inject_stall = has_flag(argc, argv, "--inject-stall");
-    a.repeat = arg_int(argc, argv, "--repeat", 1);
     return a;
   }
 };
@@ -103,7 +91,8 @@ inline bool write_text_file(const std::string& path, const std::string& body,
 
 /// Validate + write a timeseries document; exits 1 on schema violation —
 /// an exported-but-broken document is a bug, exactly like dump_capture's
-/// trace handling, and verify-observability leans on this exit code.
+/// trace handling, and the fig13_incast_strict_health ctest entry leans on
+/// this exit code.
 inline void dump_timeseries(const std::string& doc, const std::string& path) {
   if (path.empty()) return;
   if (Status v = telemetry::validate_timeseries_json(doc); !v.ok()) {
@@ -135,7 +124,7 @@ inline std::string profile_json_path(int argc, char** argv) {
 /// Write the capture's trace / profile documents to any requested paths.
 /// The trace is validated against the trace_event schema first and the
 /// process aborts on a violation — an exported-but-broken trace is a bug,
-/// and verify-telemetry leans on this exit code.
+/// and the fig5_trace_export ctest entry leans on this exit code.
 inline void dump_capture(const telemetry::TraceCapture& cap,
                          const std::string& trace_path,
                          const std::string& profile_path) {

@@ -8,7 +8,7 @@
 // (the paper's socket-size-only prediction of 28.1%).
 #include "apps/sip/agents.hpp"
 #include "bench_util.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 
 using namespace dgiwarp;
 
@@ -21,9 +21,9 @@ struct MemResult {
 };
 
 MemResult measure(sip::Transport t, std::size_t calls) {
-  sim::Fabric fabric;
-  host::Host server_host(fabric, "server");
-  host::Host client_host(fabric, "client");
+  sim::Topology topo;
+  host::Host server_host(topo, "server");
+  host::Host client_host(topo, "client");
   verbs::Device dev_s(server_host), dev_c(client_host);
   isock::ISockConfig cfg;
   cfg.pool_slots = 2;      // per-call sockets keep a tiny ring
@@ -31,7 +31,7 @@ MemResult measure(sip::Transport t, std::size_t calls) {
   isock::ISockStack io_s(dev_s, cfg), io_c(dev_c, cfg);
   sip::SipServer server(io_s, t);
   if (!server.start().ok()) return {};
-  fabric.sim().run_until(fabric.sim().now() + 2 * kMillisecond);
+  topo.sim().run_until(topo.sim().now() + 2 * kMillisecond);
 
   sip::SipClient client(io_c, t, server_host.endpoint(5060));
   const std::size_t up =
@@ -79,9 +79,9 @@ int main() {
   // Detailed breakdown at 1000 calls for the curious.
   std::printf("\nper-category server ledger at 1000 calls:\n");
   {
-    sim::Fabric fabric;
-    host::Host server_host(fabric, "server");
-    host::Host client_host(fabric, "client");
+    sim::Topology topo;
+    host::Host server_host(topo, "server");
+    host::Host client_host(topo, "client");
     verbs::Device dev_s(server_host), dev_c(client_host);
     isock::ISockConfig cfg;
     cfg.pool_slots = 2;
@@ -89,7 +89,7 @@ int main() {
     isock::ISockStack io_s(dev_s, cfg), io_c(dev_c, cfg);
     sip::SipServer server(io_s, sip::Transport::kUd);
     (void)server.start();
-    fabric.sim().run_until(fabric.sim().now() + 2 * kMillisecond);
+    topo.sim().run_until(topo.sim().now() + 2 * kMillisecond);
     sip::SipClient client(io_c, sip::Transport::kUd,
                           server_host.endpoint(5060));
     (void)client.establish_calls(1000, 60 * kSecond);

@@ -2,7 +2,7 @@
 //
 // Two layers of checking on every wire format the stack parses:
 //   1. Survival — seeded structure-aware mutations must never crash a
-//      parser (run this binary under ASan/UBSan via the verify-fuzz target
+//      parser (the verify-asan target runs this binary under ASan/UBSan
 //      to turn "never over-read" into an enforced invariant), and every
 //      accept must produce a self-consistent object.
 //   2. Round-trip stability — anything a parser ACCEPTS must survive

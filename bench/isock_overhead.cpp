@@ -6,16 +6,16 @@
 // datagram-iWARP socket interface and (b) the native-UDP passthrough.
 #include "apps/media/media.hpp"
 #include "bench_util.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 
 using namespace dgiwarp;
 
 namespace {
 
 double run(bool use_iwarp, isock::XferMode mode) {
-  sim::Fabric fabric;
-  host::Host server_host(fabric, "server");
-  host::Host client_host(fabric, "client");
+  sim::Topology topo;
+  host::Host server_host(topo, "server");
+  host::Host client_host(topo, "client");
   verbs::Device dev_s(server_host), dev_c(client_host);
   isock::ISockConfig cfg;
   cfg.use_iwarp = use_iwarp;

@@ -11,7 +11,7 @@
 #include <cstring>
 #include <string>
 
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 #include "verbs/device.hpp"
 #include "verbs/qp_ud.hpp"
 
@@ -19,12 +19,12 @@ using namespace dgiwarp;
 
 namespace {
 
-void dump_metrics(sim::Fabric& fabric, int argc, char** argv) {
+void dump_metrics(sim::Topology& topo, int argc, char** argv) {
   std::string path;
   for (int i = 1; i + 1 < argc; ++i)
     if (std::strcmp(argv[i], "--metrics-json") == 0) path = argv[i + 1];
   if (path.empty()) return;
-  if (fabric.sim().telemetry().write_json_file(path).ok())
+  if (topo.sim().telemetry().write_json_file(path).ok())
     std::printf("\nmetrics written to %s\n", path.c_str());
   else
     std::fprintf(stderr, "failed to write metrics to %s\n", path.c_str());
@@ -37,12 +37,12 @@ int main(int argc, char** argv) {
                           ? std::atof(argv[1]) / 100.0
                           : 2.0 / 100.0;
 
-  sim::Fabric fabric;
+  sim::Topology topo;
   // Structured event tracing (drops, placements, expiries) is off by
   // default; a demo is exactly where its timeline earns its cost.
-  fabric.sim().telemetry().trace().enable();
-  host::Host src(fabric, "source");
-  host::Host dst(fabric, "target");
+  topo.sim().telemetry().trace().enable();
+  host::Host src(topo, "source");
+  host::Host dst(topo, "target");
   verbs::Device dev_s(src), dev_d(dst);
   auto& pd_s = dev_s.create_pd();
   auto& pd_d = dev_d.create_pd();
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   auto qs = *dev_s.create_ud_qp({&pd_s, &cq_s, &cq_s, 0, false});
   auto qd = *dev_d.create_ud_qp({&pd_d, &cq_d, &cq_d, 0, false});
 
-  fabric.uplink(0).set_faults(sim::Faults::bernoulli(loss));
+  topo.host_uplink(0).set_faults(sim::Faults::bernoulli(loss));
 
   const std::size_t kMsg = 512 * KiB;  // eight 64 KB stack-level segments
   Bytes region(kMsg, 0);
@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
     std::printf("(the target still placed %llu segments, but cannot declare "
                 "them valid)\n",
                 static_cast<unsigned long long>(qd->stats().segments_rx));
-    dump_metrics(fabric, argc, argv);
+    dump_metrics(topo, argc, argv);
     return 0;
   }
 
@@ -94,6 +94,6 @@ int main(int argc, char** argv) {
               rec->validity.complete(static_cast<u32>(kMsg))
                   ? "the full message (nothing was lost)"
                   : "NOTHING (all-or-nothing delivery)");
-  dump_metrics(fabric, argc, argv);
+  dump_metrics(topo, argc, argv);
   return 0;
 }

@@ -11,7 +11,7 @@
 #include <cstdlib>
 #include <vector>
 
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 #include "verbs/device.hpp"
 #include "verbs/qp_ud.hpp"
 
@@ -56,20 +56,20 @@ int main(int argc, char** argv) {
   constexpr std::size_t kSymbols = 64;
   constexpr std::size_t kSlot = 24;  // serialized quote size
 
-  sim::Fabric fabric;
-  host::Host pub_host(fabric, "publisher");
+  sim::Topology topo;
+  host::Host pub_host(topo, "publisher");
   verbs::Device pub_dev(pub_host);
   auto& pub_pd = pub_dev.create_pd();
   auto& pub_cq = pub_dev.create_cq(1 << 16);
   auto pub_qp = *pub_dev.create_ud_qp({&pub_pd, &pub_cq, &pub_cq, 9100, false});
 
   // Lossy downlinks: market feeds tolerate gaps (latest quote wins).
-  fabric.uplink(0).set_faults(sim::Faults::bernoulli(loss));
+  topo.host_uplink(0).set_faults(sim::Faults::bernoulli(loss));
 
   std::vector<Subscriber> subs(n_subs);
   for (std::size_t i = 0; i < n_subs; ++i) {
     subs[i].host = std::make_unique<host::Host>(
-        fabric, "sub" + std::to_string(i));
+        topo, "sub" + std::to_string(i));
     subs[i].dev = std::make_unique<verbs::Device>(*subs[i].host);
     auto& pd = subs[i].dev->create_pd();
     auto& cq = subs[i].dev->create_cq(1 << 16);
@@ -110,9 +110,9 @@ int main(int argc, char** argv) {
       wr.signaled = false;
       (void)pub_qp->post_send(wr);
     }
-    fabric.sim().run_until(fabric.sim().now() + 100 * kMicrosecond);
+    topo.sim().run_until(topo.sim().now() + 100 * kMicrosecond);
   }
-  fabric.sim().run();
+  topo.sim().run();
 
   u64 total_seen = 0;
   for (const auto& sub : subs) total_seen += sub.updates_seen;

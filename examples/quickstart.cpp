@@ -7,7 +7,7 @@
 //   $ ./quickstart
 #include <cstdio>
 
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 #include "verbs/device.hpp"
 #include "verbs/qp_ud.hpp"
 
@@ -15,9 +15,9 @@ using namespace dgiwarp;
 
 int main() {
   // 1. Two hosts on a simulated 10GE fabric.
-  sim::Fabric fabric;
-  host::Host alice(fabric, "alice");
-  host::Host bob(fabric, "bob");
+  sim::Topology topo;
+  host::Host alice(topo, "alice");
+  host::Host bob(topo, "bob");
   verbs::Device dev_a(alice);
   verbs::Device dev_b(bob);
 
@@ -72,6 +72,6 @@ int main() {
                 static_cast<int>(rec->byte_len), region.data() + 100);
   }
 
-  std::printf("done at t=%.1f us (virtual)\n", to_us(fabric.sim().now()));
+  std::printf("done at t=%.1f us (virtual)\n", to_us(topo.sim().now()));
   return 0;
 }

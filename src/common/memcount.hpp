@@ -4,9 +4,8 @@
 // CountingAllocator is a std::allocator shim that bumps two global tallies
 // (allocation count, bytes requested) on every allocate(). The `Bytes`
 // alias in common/buffer.hpp routes every Frame payload / wire buffer in
-// the stack through it, which is what gives `bench/throughput` its
-// allocs-per-event self-metric — the baseline the planned block-pool
-// allocator work must beat (ROADMAP).
+// the stack through it, which is what gives perfbench its
+// heap.bytes_path_share metric and fig13_incast its allocation series.
 //
 // The counters are plain (non-atomic) globals: the simulator is
 // single-threaded by design, and keeping them plain makes the accounting

@@ -13,7 +13,4 @@ Host::Host(sim::Topology& topo, const std::string& name, CostModel costs)
       udp_(ctx_, ip_),
       tcp_(ctx_, ip_) {}
 
-Host::Host(sim::Fabric& fabric, const std::string& name, CostModel costs)
-    : Host(fabric.topology(), name, costs) {}
-
 }  // namespace dgiwarp::host

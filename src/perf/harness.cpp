@@ -4,7 +4,7 @@
 #include <memory>
 
 #include "hoststack/host.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 #include "telemetry/trace_export.hpp"
 #include "verbs/device.hpp"
 #include "verbs/qp_rc.hpp"
@@ -41,9 +41,9 @@ bool is_rd(Mode m) {
 /// for the tagged modes.
 struct Rig {
   Rig(Mode mode, std::size_t msg_size, const Options& opts)
-      : mode_(mode), opts_(opts), fabric_(make_params(opts)) {
-    a_ = std::make_unique<host::Host>(fabric_, "sender");
-    b_ = std::make_unique<host::Host>(fabric_, "receiver");
+      : mode_(mode), opts_(opts), topo_(make_params(opts)) {
+    a_ = std::make_unique<host::Host>(topo_, "sender");
+    b_ = std::make_unique<host::Host>(topo_, "receiver");
     a_->tcp().set_validate_checksum(opts.tcp_checksum);
     b_->tcp().set_validate_checksum(opts.tcp_checksum);
     verbs::DeviceConfig dc;
@@ -76,8 +76,8 @@ struct Rig {
       ra_ = *da_->rc_connect({pda_, scq_a_, rcq_a_}, b_->endpoint(4791));
       bool up = false;
       ra_->on_established([&](Status st) { up = st.ok(); });
-      fabric_.sim().run_while_pending([&] { return up && rb_ != nullptr; },
-                                      kSecond);
+      topo_.sim().run_while_pending([&] { return up && rb_ != nullptr; },
+                                    kSecond);
       mra_ = pda_->register_memory(ByteSpan{region_a_},
                                    verbs::kLocalWrite | verbs::kRemoteWrite);
       mrb_ = pdb_->register_memory(ByteSpan{region_b_},
@@ -92,22 +92,22 @@ struct Rig {
     }
   }
 
-  static sim::Fabric::Params make_params(const Options& opts) {
-    sim::Fabric::Params p;
+  static sim::Topology::Params make_params(const Options& opts) {
+    sim::Topology::Params p;
     p.seed = opts.seed;
     return p;
   }
 
   void enable_loss() {
     if (opts_.data_faults) {
-      fabric_.uplink(0).set_faults(opts_.data_faults());
+      topo_.host_uplink(0).set_faults(opts_.data_faults());
     } else if (opts_.loss_rate > 0.0) {
-      fabric_.uplink(0).set_faults(sim::Faults::bernoulli(opts_.loss_rate));
+      topo_.host_uplink(0).set_faults(sim::Faults::bernoulli(opts_.loss_rate));
     }
-    if (opts_.ack_faults) fabric_.uplink(1).set_faults(opts_.ack_faults());
+    if (opts_.ack_faults) topo_.host_uplink(1).set_faults(opts_.ack_faults());
   }
 
-  sim::Simulation& sim() { return fabric_.sim(); }
+  sim::Simulation& sim() { return topo_.sim(); }
 
   /// Post a message from one side. `forward` = sender -> receiver.
   Status send(bool forward, std::size_t size, u64 wr_id) {
@@ -178,7 +178,7 @@ struct Rig {
 
   Mode mode_;
   Options opts_;
-  sim::Fabric fabric_;
+  sim::Topology topo_;
   std::unique_ptr<host::Host> a_, b_;
   std::unique_ptr<verbs::Device> da_, db_;
   verbs::ProtectionDomain* pda_ = nullptr;

@@ -105,9 +105,9 @@ class Link {
 };
 
 /// First-class handle to one direction of one cable. This is the public
-/// fault-injection and inspection surface of the topology API: builders
-/// (Topology, Fabric) hand out LinkRefs instead of (index, direction) pairs,
-/// and the handle stays valid for the lifetime of the owning topology.
+/// fault-injection and inspection surface of the topology API: Topology
+/// hands out LinkRefs instead of (index, direction) pairs, and the handle
+/// stays valid for the lifetime of the owning topology.
 class LinkRef {
  public:
   LinkRef() = default;

@@ -16,7 +16,6 @@ bool Simulation::step() {
   Event ev = queue_.top();
   queue_.pop();
   advance_clock(ev.time);
-  if (observer_) observer_->on_event(ev.time, ev.seq);
   ++executed_;
   ev.task();
   return true;

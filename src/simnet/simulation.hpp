@@ -17,26 +17,6 @@
 
 namespace dgiwarp::sim {
 
-/// Hook into event execution (telemetry, tracing, debuggers).
-///
-/// Ordering guarantees:
-///  * on_event(t, seq) fires once per executed event, AFTER the virtual
-///    clock has advanced to `t` and BEFORE the event's task runs — so any
-///    metric or trace entry the task produces is stamped with `t`.
-///  * Calls are monotonically non-decreasing in `t`; events sharing a
-///    timestamp are observed in scheduling order (`seq` is the stable FIFO
-///    tie-breaker — assigned at scheduling time, so it increases strictly
-///    within a timestamp but not necessarily across timestamps).
-///  * The observer is never invoked re-entrantly: a task that schedules new
-///    events only causes future on_event calls.
-/// Deadline-driven idle advances (run_until / run_while_pending timeouts)
-/// move the clock without executing an event and are NOT observed.
-class SimObserver {
- public:
-  virtual ~SimObserver() = default;
-  virtual void on_event(TimeNs t, u64 seq) = 0;
-};
-
 class Simulation {
  public:
   using Task = std::function<void()>;
@@ -76,10 +56,6 @@ class Simulation {
   telemetry::Registry& telemetry() { return telemetry_; }
   const telemetry::Registry& telemetry() const { return telemetry_; }
 
-  /// Install an execution observer (nullptr to clear). At most one; see
-  /// SimObserver for the ordering guarantees.
-  void set_observer(SimObserver* obs) { observer_ = obs; }
-
   static constexpr std::size_t kDefaultMaxEvents = 500'000'000;
 
  private:
@@ -105,7 +81,6 @@ class Simulation {
   u64 executed_ = 0;
   std::priority_queue<Event, std::vector<Event>, Later> queue_;
   telemetry::Registry telemetry_;
-  SimObserver* observer_ = nullptr;
 };
 
 }  // namespace dgiwarp::sim

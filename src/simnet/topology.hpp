@@ -5,10 +5,8 @@
 // joined through one spine), and the per-host NICs. Hosts are placed
 // round-robin across leaves; cross-leaf traffic rides leaf<->spine trunk
 // LAGs whose cable count (and therefore oversubscription ratio) is
-// configurable. With `leaves == 1` the fabric degenerates to the paper's
-// testbed — one switch named "switch0", one cable per host — and produces
-// byte-identical seeded output to the original two-endpoint Fabric, which
-// is now a thin adapter over this class.
+// configurable. With `leaves == 1` (the default) the fabric is the paper's
+// testbed: one switch named "switch0", one cable per host.
 //
 // Fault attachment is through first-class LinkRef handles
 // (host_uplink/host_downlink/trunk_up/trunk_down) rather than index pairs;

@@ -4,13 +4,9 @@
 // CQ completions.
 //
 // Tracing is DISABLED by default and must cost near zero on the hot path:
-// record() is a single predictable branch when disabled. For builds that
-// want the cost provably gone, NullSink below is a drop-in whose record()
-// is a constexpr no-op; the TraceSinkLike concept lets call sites check at
-// compile time that either sink satisfies the same surface.
+// record() is a single predictable branch when disabled.
 #pragma once
 
-#include <concepts>
 #include <cstddef>
 #include <vector>
 
@@ -58,13 +54,6 @@ struct TraceEvent {
   TraceKind kind = TraceKind::kLinkDrop;
   u64 a = 0;
   u64 b = 0;
-};
-
-/// Shape shared by the live ring and the compile-time no-op sink.
-template <typename S>
-concept TraceSinkLike = requires(S s, TraceKind k, u64 v) {
-  { s.enabled() } -> std::convertible_to<bool>;
-  s.record(k, v, v);
 };
 
 /// Fixed-capacity ring: once full, the oldest event is overwritten and
@@ -116,16 +105,5 @@ class TraceRing {
   u64 recorded_ = 0;
   const TimeNs* clock_ = nullptr;
 };
-
-/// Compile-time no-op sink: substitute for TraceRing where tracing must be
-/// provably free. Every call collapses to nothing at -O0 already.
-struct NullSink {
-  static constexpr bool kNoop = true;
-  constexpr bool enabled() const { return false; }
-  constexpr void record(TraceKind, u64 = 0, u64 = 0) const {}
-};
-
-static_assert(TraceSinkLike<TraceRing>);
-static_assert(TraceSinkLike<NullSink>);
 
 }  // namespace dgiwarp::telemetry

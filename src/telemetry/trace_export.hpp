@@ -2,7 +2,7 @@
 //
 // TraceCapture accumulates spans, trace-ring events and profiler buckets
 // across one or more measurement Simulations (the perf harness builds a
-// fresh Fabric per run, so each run's virtual clock restarts at 0 — the
+// fresh Topology per run, so each run's virtual clock restarts at 0 — the
 // capture shifts every absorbed timestamp and span id past the previous
 // run's, keeping the merged timeline monotonic and ids unique).
 //
@@ -14,8 +14,8 @@
 // nanosecond precision ("%llu.%03llu" — integer math, so same-seed runs
 // export byte-identical documents).
 //
-// validate_trace_event_json() is the schema gate the verify-telemetry
-// target runs: well-formed JSON, globally non-decreasing ts, and matched
+// validate_trace_event_json() is the schema gate the fig5_trace_export
+// ctest entry runs: well-formed JSON, globally non-decreasing ts, and matched
 // B/E pairs per (pid, tid) track.
 #pragma once
 

@@ -4,7 +4,7 @@
 
 #include "apps/media/media.hpp"
 #include "apps/sip/agents.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 
 namespace dgiwarp {
 namespace {
@@ -146,7 +146,7 @@ TEST(SipTransaction, UacFollowsResponses) {
 
 struct SipRig {
   explicit SipRig(sip::Transport t, isock::ISockConfig cfg = {})
-      : server_host(fabric, "server"), client_host(fabric, "client"),
+      : server_host(topo, "server"), client_host(topo, "client"),
         dev_s(server_host), dev_c(client_host),
         io_s(dev_s, cfg), io_c(dev_c, cfg),
         server(io_s, t), client(io_c, t, server_host.endpoint(5060)) {}
@@ -155,9 +155,9 @@ struct SipRig {
   /// any measurement.
   void start_server() {
     ASSERT_TRUE(server.start().ok());
-    fabric.sim().run_until(fabric.sim().now() + 2 * kMillisecond);
+    topo.sim().run_until(topo.sim().now() + 2 * kMillisecond);
   }
-  sim::Fabric fabric;
+  sim::Topology topo;
   host::Host server_host, client_host;
   verbs::Device dev_s, dev_c;
   isock::ISockStack io_s, io_c;
@@ -171,7 +171,7 @@ TEST(SipAgents, UdCallSetupAndTeardown) {
   EXPECT_EQ(r.client.establish_calls(3, kSecond), 3u);
   EXPECT_EQ(r.server.active_calls(), 3u);
   r.client.teardown_all(kSecond);
-  r.fabric.sim().run_until(r.fabric.sim().now() + 10 * kMillisecond);
+  r.topo.sim().run_until(r.topo.sim().now() + 10 * kMillisecond);
   EXPECT_EQ(r.server.active_calls(), 0u);
   EXPECT_EQ(r.server.parse_errors(), 0u);
 }
@@ -182,7 +182,7 @@ TEST(SipAgents, RcCallSetupAndTeardown) {
   EXPECT_EQ(r.client.establish_calls(3, kSecond), 3u);
   EXPECT_EQ(r.server.active_calls(), 3u);
   r.client.teardown_all(kSecond);
-  r.fabric.sim().run_until(r.fabric.sim().now() + 10 * kMillisecond);
+  r.topo.sim().run_until(r.topo.sim().now() + 10 * kMillisecond);
   EXPECT_EQ(r.server.active_calls(), 0u);
 }
 
@@ -226,10 +226,10 @@ TEST(SipAgents, ServerMemoryScalesPerCallAndUdIsSmaller) {
 
 struct MediaRig {
   explicit MediaRig(isock::ISockConfig cfg = {})
-      : server_host(fabric, "server"), client_host(fabric, "client"),
+      : server_host(topo, "server"), client_host(topo, "client"),
         dev_s(server_host), dev_c(client_host),
         io_s(dev_s, cfg), io_c(dev_c, cfg) {}
-  sim::Fabric fabric;
+  sim::Topology topo;
   host::Host server_host, client_host;
   verbs::Device dev_s, dev_c;
   isock::ISockStack io_s, io_c;
@@ -282,7 +282,7 @@ TEST(Media, PacedStreamRunsAtBitrate) {
 
 TEST(Media, LossyLinkProducesSequenceGaps) {
   MediaRig r;
-  r.fabric.uplink(0).set_faults(sim::Faults::bernoulli(0.05));
+  r.topo.host_uplink(0).set_faults(sim::Faults::bernoulli(0.05));
   media::StreamParams p;
   p.burst_start = true;
   media::MediaServer server(r.io_s, p);

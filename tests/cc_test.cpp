@@ -8,7 +8,6 @@
 #include "cc/cc.hpp"
 #include "hoststack/host.hpp"
 #include "rd/reliable.hpp"
-#include "simnet/fabric.hpp"
 #include "simnet/topology.hpp"
 #include "verbs/device.hpp"
 #include "verbs/qp_ud.hpp"
@@ -219,8 +218,8 @@ TEST(RdCc, TimelyCutsRateFromRttInflationAlone) {
 }
 
 TEST(RdCc, CcOffAddsNoRegistryKeysAndNoController) {
-  sim::Fabric fabric;
-  host::Host a(fabric, "a"), b(fabric, "b");
+  sim::Topology topo;
+  host::Host a(topo, "a"), b(topo, "b");
   rd::ReliableDatagram tx(a.ctx(), **a.udp().open(100), {});
   rd::ReliableDatagram rx(b.ctx(), **b.udp().open(100), {});
   std::size_t delivered = 0;
@@ -228,13 +227,13 @@ TEST(RdCc, CcOffAddsNoRegistryKeysAndNoController) {
   const Bytes msg = make_pattern(512, 5);
   for (int i = 0; i < 10; ++i)
     ASSERT_TRUE(tx.send_to({b.addr(), 100}, ConstByteSpan{msg}).ok());
-  fabric.sim().run();
+  topo.sim().run();
 
   EXPECT_EQ(delivered, 10u);
   EXPECT_EQ(tx.congestion(), nullptr);
   // The determinism contract for every seeded fig5-fig11 reproduction:
   // the default configuration must not grow any cc-related registry keys.
-  const std::string json = fabric.sim().telemetry().to_json();
+  const std::string json = topo.sim().telemetry().to_json();
   EXPECT_EQ(json.find("\"cc."), std::string::npos);
   EXPECT_EQ(json.find("\"rd.ecn_rx\""), std::string::npos);
   EXPECT_EQ(json.find("\"rd.cnps_tx\""), std::string::npos);
@@ -262,8 +261,8 @@ TEST(RdCc, DcqcnRunsAreDeterministic) {
 }
 
 TEST(VerbsCc, UdCountsEcnMarkedArrivals) {
-  sim::Fabric fabric;
-  host::Host a(fabric, "a"), b(fabric, "b");
+  sim::Topology topo;
+  host::Host a(topo, "a"), b(topo, "b");
   verbs::DeviceConfig cfg;
   cfg.rd.cc_mode = cc::CcMode::kDcqcn;  // plumbing: DeviceConfig -> RD
   verbs::Device dev_a(a, cfg), dev_b(b, cfg);
@@ -276,7 +275,7 @@ TEST(VerbsCc, UdCountsEcnMarkedArrivals) {
 
   // Mark aggressively: a 128 KB message is several back-to-back datagrams,
   // so later frames see a non-empty uplink queue.
-  fabric.uplink(0).set_ecn_threshold(1);
+  topo.host_uplink(0).set_ecn_threshold(1);
 
   Bytes msg = make_pattern(128 * KiB, 7);
   Bytes sink(128 * KiB, 0);
@@ -286,13 +285,13 @@ TEST(VerbsCc, UdCountsEcnMarkedArrivals) {
   wr.local = ConstByteSpan{msg};
   wr.remote = {qb->local_ep(), qb->qpn()};
   ASSERT_TRUE(qa->post_send(wr).ok());
-  fabric.sim().run();
+  topo.sim().run();
 
   auto wc = cq_b.poll();
   ASSERT_TRUE(wc.has_value());
   EXPECT_TRUE(wc->status.ok());
   EXPECT_GT(qb->stats().ecn_rx.value(), 0u);
-  EXPECT_NE(fabric.sim().telemetry().to_json().find("\"verbs.ud.ecn_rx\""),
+  EXPECT_NE(topo.sim().telemetry().to_json().find("\"verbs.ud.ecn_rx\""),
             std::string::npos);
 }
 

@@ -9,7 +9,6 @@
 
 #include "hoststack/host.hpp"
 #include "rd/reliable.hpp"
-#include "simnet/fabric.hpp"
 #include "simnet/topology.hpp"
 #include "telemetry/flight.hpp"
 #include "telemetry/registry.hpp"
@@ -267,11 +266,11 @@ TEST(Watchdog, StalledFlowTripsOnBlackHoledLink) {
   // End-to-end true positive, the --inject-stall scenario in miniature:
   // the sender's uplink goes 100% lossy mid-run; outstanding datagrams
   // stop progressing and the stalled-flow rule must notice.
-  sim::Fabric fabric;
-  auto& reg = fabric.sim().telemetry();
+  sim::Topology topo;
+  auto& reg = topo.sim().telemetry();
   reg.watchdog().enable();
 
-  host::Host a(fabric, "a"), b(fabric, "b");
+  host::Host a(topo, "a"), b(topo, "b");
   rd::RdConfig cfg;
   cfg.max_retries = 60;
   rd::ReliableDatagram tx(a.ctx(), **a.udp().open(100), cfg);
@@ -286,13 +285,13 @@ TEST(Watchdog, StalledFlowTripsOnBlackHoledLink) {
   const Bytes msg = make_pattern(512, 9);
   for (int i = 0; i < 10; ++i)
     ASSERT_TRUE(tx.send_to({b.addr(), 100}, ConstByteSpan{msg}).ok());
-  fabric.sim().run();
+  topo.sim().run();
   EXPECT_GT(tx.stats().acks_rx.value(), 0u);
 
-  fabric.uplink(0).set_faults(sim::Faults::bernoulli(1.0).isolated(3));
+  topo.host_uplink(0).set_faults(sim::Faults::bernoulli(1.0).isolated(3));
   for (int i = 0; i < 10; ++i)
     ASSERT_TRUE(tx.send_to({b.addr(), 100}, ConstByteSpan{msg}).ok());
-  fabric.sim().run_until(fabric.sim().now() + 500 * kMillisecond);
+  topo.sim().run_until(topo.sim().now() + 500 * kMillisecond);
 
   ASSERT_TRUE(reg.watchdog().tripped());
   EXPECT_EQ(reg.watchdog().trips()[0].rule, WatchdogRule::kStalledFlow);
@@ -302,11 +301,11 @@ TEST(Watchdog, StalledFlowTripsOnBlackHoledLink) {
 TEST(Watchdog, HealthyTransferStaysQuiet) {
   // True negative for the same wiring: no faults, same watches — RTO gaps
   // and in-flight windows must not read as stalls.
-  sim::Fabric fabric;
-  auto& reg = fabric.sim().telemetry();
+  sim::Topology topo;
+  auto& reg = topo.sim().telemetry();
   reg.watchdog().enable();
 
-  host::Host a(fabric, "a"), b(fabric, "b");
+  host::Host a(topo, "a"), b(topo, "b");
   rd::ReliableDatagram tx(a.ctx(), **a.udp().open(100), {});
   rd::ReliableDatagram rx(b.ctx(), **b.udp().open(100), {});
   rd::ReliableDatagram* txp = &tx;
@@ -319,8 +318,8 @@ TEST(Watchdog, HealthyTransferStaysQuiet) {
   const Bytes msg = make_pattern(512, 9);
   for (int i = 0; i < 50; ++i)
     ASSERT_TRUE(tx.send_to({b.addr(), 100}, ConstByteSpan{msg}).ok());
-  fabric.sim().run();
-  fabric.sim().run_until(fabric.sim().now() + 300 * kMillisecond);
+  topo.sim().run();
+  topo.sim().run_until(topo.sim().now() + 300 * kMillisecond);
 
   EXPECT_EQ(delivered, 50u);
   EXPECT_FALSE(reg.watchdog().tripped());

@@ -6,7 +6,7 @@
 #include "apps/media/media.hpp"
 #include "apps/sip/agents.hpp"
 #include "perf/harness.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 #include "verbs/qp_rc.hpp"
 #include "verbs/qp_ud.hpp"
 
@@ -20,10 +20,10 @@ using verbs::WrOpcode;
 
 struct Rig {
   explicit Rig(verbs::DeviceConfig cfg = {})
-      : a(fabric, "a"), b(fabric, "b"), dev_a(a, cfg), dev_b(b, cfg),
+      : a(topo, "a"), b(topo, "b"), dev_a(a, cfg), dev_b(b, cfg),
         pd_a(dev_a.create_pd()), pd_b(dev_b.create_pd()),
         cq_a(dev_a.create_cq()), cq_b(dev_b.create_cq()) {}
-  sim::Fabric fabric;
+  sim::Topology topo;
   host::Host a, b;
   verbs::Device dev_a, dev_b;
   verbs::ProtectionDomain& pd_a;
@@ -42,7 +42,7 @@ TEST(Integration, UdSurvivesFrameReordering) {
   f.reorder_rate = 0.3;
   f.reorder_delay = 40 * kMicrosecond;
   f.jitter = 5 * kMicrosecond;
-  r.fabric.uplink(0).set_faults(std::move(f));
+  r.topo.host_uplink(0).set_faults(std::move(f));
 
   // Multi-datagram message: datagram-level reordering across segments.
   Bytes msg = make_pattern(200 * KiB, 17);
@@ -52,7 +52,7 @@ TEST(Integration, UdSurvivesFrameReordering) {
   wr.local = ConstByteSpan{msg};
   wr.remote = {qb->local_ep(), qb->qpn()};
   ASSERT_TRUE(qa->post_send(wr).ok());
-  r.fabric.sim().run();
+  r.topo.sim().run();
 
   bool done = false;
   while (auto c = r.cq_b.poll())
@@ -74,7 +74,7 @@ TEST(Integration, WriteRecordUnderBurstLoss) {
   auto qb = *r.dev_b.create_ud_qp({&r.pd_b, &r.cq_b, &r.cq_b, 0, false});
   sim::Faults f;
   f.loss = std::make_unique<sim::GilbertElliottLoss>(0.002, 0.1, 0.0, 0.9);
-  r.fabric.uplink(0).set_faults(std::move(f));
+  r.topo.host_uplink(0).set_faults(std::move(f));
 
   Bytes region(512 * KiB, 0);
   auto mr = r.pd_b.register_memory(ByteSpan{region},
@@ -88,7 +88,7 @@ TEST(Integration, WriteRecordUnderBurstLoss) {
     wr.remote_stag = mr.stag;
     ASSERT_TRUE(qa->post_send(wr).ok());
   }
-  r.fabric.sim().run();
+  r.topo.sim().run();
 
   int records = 0;
   while (auto c = r.cq_b.poll()) {
@@ -121,7 +121,7 @@ TEST(Integration, MixedRcAndUdTrafficShareOneHostPair) {
                   .ok());
   auto rc_a = *r.dev_a.rc_connect({&r.pd_a, &r.cq_a, &r.cq_a},
                                   r.b.endpoint(900));
-  r.fabric.sim().run_while_pending([&] { return rc_b != nullptr; }, kSecond);
+  r.topo.sim().run_while_pending([&] { return rc_b != nullptr; }, kSecond);
   ASSERT_NE(rc_b, nullptr);
 
   Bytes ud_msg = make_pattern(10'000, 1);
@@ -137,7 +137,7 @@ TEST(Integration, MixedRcAndUdTrafficShareOneHostPair) {
   SendWr rc_wr;
   rc_wr.local = ConstByteSpan{rc_msg};
   ASSERT_TRUE(rc_a->post_send(rc_wr).ok());
-  r.fabric.sim().run();
+  r.topo.sim().run();
 
   int got = 0;
   while (auto c = r.cq_b.poll())
@@ -150,8 +150,8 @@ TEST(Integration, MixedRcAndUdTrafficShareOneHostPair) {
 TEST(Integration, ManyConcurrentWriteRecordSourcesOneTarget) {
   // Several sources write-record into disjoint slots of one target region
   // through one QP — the connectionless fan-in the paper motivates.
-  sim::Fabric fabric;
-  host::Host target_host(fabric, "target");
+  sim::Topology topo;
+  host::Host target_host(topo, "target");
   verbs::Device target_dev(target_host);
   auto& pd = target_dev.create_pd();
   auto& cq = target_dev.create_cq();
@@ -169,7 +169,7 @@ TEST(Integration, ManyConcurrentWriteRecordSourcesOneTarget) {
   std::vector<Bytes> payloads;
   for (std::size_t i = 0; i < kSources; ++i) {
     hosts.push_back(
-        std::make_unique<host::Host>(fabric, "src" + std::to_string(i)));
+        std::make_unique<host::Host>(topo, "src" + std::to_string(i)));
     devs.push_back(std::make_unique<verbs::Device>(*hosts.back()));
     auto& spd = devs.back()->create_pd();
     auto& scq = devs.back()->create_cq();
@@ -183,7 +183,7 @@ TEST(Integration, ManyConcurrentWriteRecordSourcesOneTarget) {
     wr.remote_offset = i * kSlot;
     ASSERT_TRUE(qps.back()->post_send(wr).ok());
   }
-  fabric.sim().run();
+  topo.sim().run();
 
   std::set<u64> bases;
   while (auto c = cq.poll())
@@ -199,11 +199,11 @@ TEST(Integration, MediaOverReliableDatagramsSurvivesLoss) {
   // paper's "reliable UDP" option at the application level.
   isock::ISockConfig cfg;
   cfg.reliable_dgram = true;
-  sim::Fabric fabric;
-  host::Host server_host(fabric, "server"), client_host(fabric, "client");
+  sim::Topology topo;
+  host::Host server_host(topo, "server"), client_host(topo, "client");
   verbs::Device dev_s(server_host), dev_c(client_host);
   isock::ISockStack io_s(dev_s, cfg), io_c(dev_c, cfg);
-  fabric.uplink(0).set_faults(sim::Faults::bernoulli(0.02));
+  topo.host_uplink(0).set_faults(sim::Faults::bernoulli(0.02));
 
   media::StreamParams p;
   p.burst_start = false;
@@ -218,17 +218,18 @@ TEST(Integration, MediaOverReliableDatagramsSurvivesLoss) {
 }
 
 TEST(Integration, SipCallsSurviveLossViaRetransmission) {
-  sim::Fabric fabric;
-  host::Host server_host(fabric, "server"), client_host(fabric, "client");
+  sim::Topology topo;
+  host::Host server_host(topo, "server"), client_host(topo, "client");
   verbs::Device dev_s(server_host), dev_c(client_host);
   isock::ISockStack io_s(dev_s), io_c(dev_c);
-  fabric.uplink(1).set_faults(sim::Faults::bernoulli(0.15));  // client egress
+  // Client egress.
+  topo.host_uplink(1).set_faults(sim::Faults::bernoulli(0.15));
 
   sip::SipConfig scfg;
   scfg.t1 = 20 * kMillisecond;  // keep the lossy test quick
   sip::SipServer server(io_s, sip::Transport::kUd, scfg);
   ASSERT_TRUE(server.start().ok());
-  fabric.sim().run_until(fabric.sim().now() + 2 * kMillisecond);
+  topo.sim().run_until(topo.sim().now() + 2 * kMillisecond);
   sip::SipClient client(io_c, sip::Transport::kUd,
                         server_host.endpoint(5060), scfg);
   EXPECT_EQ(client.establish_calls(10, 30 * kSecond), 10u)
@@ -270,8 +271,8 @@ TEST(Integration, SeedChangesLossPatternNotCleanRuns) {
 
 TEST(Integration, TcpZeroWindowRecoversViaWindowUpdate) {
   // A slow receiver closing its window must not deadlock the transfer.
-  sim::Fabric fabric;
-  host::Host a(fabric, "a"), b(fabric, "b");
+  sim::Topology topo;
+  host::Host a(topo, "a"), b(topo, "b");
   host::TcpSocket::Ptr srv;
   std::size_t rx = 0;
   (void)b.tcp().listen(80, [&](host::TcpSocket::Ptr s) {
@@ -281,7 +282,7 @@ TEST(Integration, TcpZeroWindowRecoversViaWindowUpdate) {
   auto cl = *a.tcp().connect({b.addr(), 80});
   bool up = false;
   cl->on_connect([&](Status) { up = true; });
-  fabric.sim().run_while_pending([&] { return up; }, kSecond);
+  topo.sim().run_while_pending([&] { return up; }, kSecond);
 
   const Bytes data = make_pattern(1 * MiB, 31);
   std::size_t sent = 0;
@@ -294,7 +295,7 @@ TEST(Integration, TcpZeroWindowRecoversViaWindowUpdate) {
   };
   cl->on_writable(pump);
   pump();
-  const bool done = fabric.sim().run_while_pending(
+  const bool done = topo.sim().run_while_pending(
       [&] { return rx >= data.size(); }, 30 * kSecond);
   EXPECT_TRUE(done);
   EXPECT_EQ(rx, data.size());

@@ -24,7 +24,7 @@
 #include "hoststack/host.hpp"
 #include "perf/harness.hpp"
 #include "rd/reliable.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 #include "telemetry/registry.hpp"
 
 namespace dgiwarp {
@@ -88,12 +88,12 @@ constexpr std::size_t kPayload = 32;  // bytes; index tag in the first two
 
 void run_rd_campaign_case(const FaultCase& fc, bool ordered) {
   SCOPED_TRACE(fc.name + (ordered ? " / ordered" : " / unordered"));
-  sim::Fabric fabric;
-  host::Host a(fabric, "a"), b(fabric, "b");
+  sim::Topology topo;
+  host::Host a(topo, "a"), b(topo, "b");
   host::UdpSocket* sa = *a.udp().open(100);
   host::UdpSocket* sb = *b.udp().open(100);
-  fabric.uplink(0).set_faults(fc.data());
-  if (fc.ack) fabric.uplink(1).set_faults(fc.ack());
+  topo.host_uplink(0).set_faults(fc.data());
+  if (fc.ack) topo.host_uplink(1).set_faults(fc.ack());
 
   rd::RdConfig cfg;
   cfg.ordered = ordered;
@@ -112,7 +112,7 @@ void run_rd_campaign_case(const FaultCase& fc, bool ordered) {
     msg[1] = static_cast<u8>(i >> 8);
     ASSERT_TRUE(rda.send_to({b.addr(), 100}, ConstByteSpan{msg}).ok());
   }
-  fabric.sim().run();
+  topo.sim().run();
 
   // Eventual completion, exactly once.
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kMessages));
@@ -132,7 +132,7 @@ void run_rd_campaign_case(const FaultCase& fc, bool ordered) {
   // Bounded receiver memory, fully drained at the end.
   EXPECT_EQ(rdb.rx_buffered(), 0u);
   EXPECT_EQ(b.ledger().category("rd.rx_ooo"), 0);
-  EXPECT_LE(fabric.sim().telemetry().gauge("rd.rx_ooo_bytes").max(),
+  EXPECT_LE(topo.sim().telemetry().gauge("rd.rx_ooo_bytes").max(),
             static_cast<double>(cfg.rx_ooo_limit * kPayload));
 }
 
@@ -148,11 +148,11 @@ TEST(RdFaultCampaign, UnorderedSurvivesEveryFaultModel) {
 // retransmit/duplicate telemetry (seeded virtual-time simulation).
 TEST(RdFaultCampaign, CasesAreDeterministic) {
   auto run = [] {
-    sim::Fabric fabric;
-    host::Host a(fabric, "a"), b(fabric, "b");
+    sim::Topology topo;
+    host::Host a(topo, "a"), b(topo, "b");
     host::UdpSocket* sa = *a.udp().open(100);
     host::UdpSocket* sb = *b.udp().open(100);
-    fabric.uplink(0).set_faults(sim::Faults::bernoulli(0.05));
+    topo.host_uplink(0).set_faults(sim::Faults::bernoulli(0.05));
     rd::RdConfig cfg;
     cfg.max_retries = 30;
     rd::ReliableDatagram rda(a.ctx(), *sa, cfg);
@@ -161,8 +161,8 @@ TEST(RdFaultCampaign, CasesAreDeterministic) {
     Bytes msg(64, 9);
     for (int i = 0; i < 100; ++i)
       EXPECT_TRUE(rda.send_to({b.addr(), 100}, ConstByteSpan{msg}).ok());
-    fabric.sim().run();
-    return fabric.sim().telemetry().to_json();
+    topo.sim().run();
+    return topo.sim().telemetry().to_json();
   };
   EXPECT_EQ(run(), run());
 }

@@ -7,15 +7,15 @@
 
 #include "hoststack/host.hpp"
 #include "rd/reliable.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 
 namespace dgiwarp {
 namespace {
 
 struct RdNet {
-  sim::Fabric fabric;
-  host::Host a{fabric, "a"};
-  host::Host b{fabric, "b"};
+  sim::Topology topo;
+  host::Host a{topo, "a"};
+  host::Host b{topo, "b"};
   host::UdpSocket* sa = *a.udp().open(100);
   host::UdpSocket* sb = *b.udp().open(100);
   rd::RdConfig cfg;
@@ -34,7 +34,7 @@ TEST(Rd, BasicDelivery) {
   n.rdb->on_datagram([&](rd::Endpoint, Bytes d, bool) { got = std::move(d); });
   const Bytes msg = make_pattern(500, 1);
   ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
-  n.fabric.sim().run();
+  n.topo.sim().run();
   EXPECT_EQ(got, msg);
   EXPECT_EQ(n.rda->stats().retransmits, 0u);
   EXPECT_EQ(n.rda->unacked(), 0u);
@@ -42,8 +42,8 @@ TEST(Rd, BasicDelivery) {
 
 TEST(Rd, ReliableUnderHeavyLoss) {
   RdNet n;
-  n.fabric.uplink(0).set_faults(sim::Faults::bernoulli(0.3));
-  n.fabric.uplink(1).set_faults(sim::Faults::bernoulli(0.3));  // acks too
+  n.topo.host_uplink(0).set_faults(sim::Faults::bernoulli(0.3));
+  n.topo.host_uplink(1).set_faults(sim::Faults::bernoulli(0.3));  // acks too
   n.cfg.max_retries = 30;
   n.init();
   std::vector<Bytes> got;
@@ -53,7 +53,7 @@ TEST(Rd, ReliableUnderHeavyLoss) {
     Bytes msg = make_pattern(200, static_cast<u32>(i));
     ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
   }
-  n.fabric.sim().run();
+  n.topo.sim().run();
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kN));
   // Ordered delivery despite retransmission chaos.
   for (int i = 0; i < kN; ++i)
@@ -66,14 +66,14 @@ TEST(Rd, ReliableUnderHeavyLoss) {
 TEST(Rd, DuplicatesSuppressed) {
   RdNet n;
   // Drop all ACKs from b so a retransmits into a healthy data path.
-  n.fabric.uplink(1).set_faults(sim::Faults::bernoulli(1.0));
+  n.topo.host_uplink(1).set_faults(sim::Faults::bernoulli(1.0));
   n.cfg.max_retries = 3;
   n.init();
   int deliveries = 0;
   n.rdb->on_datagram([&](rd::Endpoint, Bytes, bool) { ++deliveries; });
   Bytes msg(100, 1);
   (void)n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg});
-  n.fabric.sim().run();
+  n.topo.sim().run();
   EXPECT_EQ(deliveries, 1);  // retransmits arrive but deliver once
   EXPECT_GT(n.rdb->stats().duplicates, 0u);
   EXPECT_EQ(n.rda->stats().give_ups, 1u);  // never saw an ACK
@@ -81,14 +81,14 @@ TEST(Rd, DuplicatesSuppressed) {
 
 TEST(Rd, GiveUpNotifiesFailureHandler) {
   RdNet n;
-  n.fabric.uplink(0).set_faults(sim::Faults::bernoulli(1.0));  // black hole
+  n.topo.host_uplink(0).set_faults(sim::Faults::bernoulli(1.0));  // black hole
   n.cfg.max_retries = 2;
   n.init();
   int failures = 0;
   n.rda->on_failure([&](rd::Endpoint, u64) { ++failures; });
   Bytes msg(100, 1);
   (void)n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg});
-  n.fabric.sim().run();
+  n.topo.sim().run();
   EXPECT_EQ(failures, 1);
   EXPECT_EQ(n.rda->stats().give_ups, 1u);
   EXPECT_EQ(n.rda->unacked(), 0u);
@@ -127,14 +127,14 @@ TEST(Rd, WildSequencesRejectedWithoutWedgingTheWindow) {
   ASSERT_TRUE(
       n.sa->send_to({n.b.addr(), 100}, ConstByteSpan{forge(3, u64{1} << 41, 0)})
           .ok());
-  n.fabric.sim().run();
+  n.topo.sim().run();
   EXPECT_EQ(n.rdb->stats().wild_rejects, 2u);
   EXPECT_TRUE(got.empty());
 
   // The frontier is untouched: genuine traffic still flows.
   const Bytes msg = make_pattern(300, 7);
   ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
-  n.fabric.sim().run();
+  n.topo.sim().run();
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], msg);
   EXPECT_EQ(n.rda->stats().give_ups, 0u);
@@ -150,7 +150,7 @@ TEST(Rd, WindowQueuesExcessAndDrains) {
   for (int i = 0; i < 20; ++i)
     ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
   EXPECT_LE(n.rda->unacked(), 4u);  // window cap honoured
-  n.fabric.sim().run();
+  n.topo.sim().run();
   EXPECT_EQ(deliveries, 20);
 }
 
@@ -159,7 +159,7 @@ TEST(Rd, UnorderedModeDeliversImmediately) {
   n.cfg.ordered = false;
   // Drop the first data frame: seq 1 is retransmitted later, but seq 2+
   // must not wait for it in unordered mode.
-  n.fabric.uplink(0).set_faults([] {
+  n.topo.host_uplink(0).set_faults([] {
     sim::Faults f;
     f.loss = std::make_unique<sim::TargetedLoss>(std::vector<u64>{1});
     return f;
@@ -172,7 +172,7 @@ TEST(Rd, UnorderedModeDeliversImmediately) {
     Bytes msg(10, i);
     (void)n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg});
   }
-  n.fabric.sim().run();
+  n.topo.sim().run();
   ASSERT_EQ(first_bytes.size(), 3u);
   EXPECT_EQ(first_bytes[0], 2);  // 2 and 3 did not wait for 1
   EXPECT_EQ(first_bytes[1], 3);
@@ -193,7 +193,7 @@ TEST(Rd, OversizePayloadRejected) {
 TEST(Rd, UnorderedDedupeIsBoundedUnderDuplication) {
   RdNet n;
   n.cfg.ordered = false;
-  n.fabric.uplink(0).set_faults(sim::Faults::duplicating(1.0));
+  n.topo.host_uplink(0).set_faults(sim::Faults::duplicating(1.0));
   n.init();
   std::multiset<u32> got;
   n.rdb->on_datagram([&](rd::Endpoint, Bytes d, bool) {
@@ -206,7 +206,7 @@ TEST(Rd, UnorderedDedupeIsBoundedUnderDuplication) {
     msg[1] = static_cast<u8>(i >> 8);
     ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
   }
-  n.fabric.sim().run();
+  n.topo.sim().run();
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kN));
   for (int i = 0; i < kN; ++i)
     EXPECT_EQ(got.count(static_cast<u32>(i)), 1u) << "index " << i;
@@ -222,7 +222,7 @@ TEST(Rd, GiveUpGapSkipResumesOrderedDelivery) {
   RdNet n;
   // a->b frame ordinals: 1..3 = data seq 1..3; 4..6 = retransmits of seq 1
   // (max_retries=3); ordinal 7 is the GAP-SKIP, which passes.
-  n.fabric.uplink(0).set_faults([] {
+  n.topo.host_uplink(0).set_faults([] {
     sim::Faults f;
     f.loss = std::make_unique<sim::TargetedLoss>(std::vector<u64>{1, 4, 5, 6});
     return f;
@@ -245,7 +245,7 @@ TEST(Rd, GiveUpGapSkipResumesOrderedDelivery) {
     Bytes msg(10, i);
     ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
   }
-  n.fabric.sim().run();
+  n.topo.sim().run();
   // Seq 1 is abandoned; 2 and 3 must still be delivered, in order.
   EXPECT_EQ(got, (std::vector<u8>{2, 3}));
   EXPECT_EQ(failures, 1);
@@ -262,7 +262,7 @@ TEST(Rd, GiveUpGapSkipResumesOrderedDelivery) {
 // timeout is the fallback that unblocks delivery.
 TEST(Rd, ReceiverGapTimeoutRecoversWhenGapSkipIsLost) {
   RdNet n;
-  n.fabric.uplink(0).set_faults([] {
+  n.topo.host_uplink(0).set_faults([] {
     sim::Faults f;
     f.loss = std::make_unique<sim::TargetedLoss>(
         std::vector<u64>{1, 4, 5, 6, 7});  // 7 = the GAP-SKIP
@@ -279,7 +279,7 @@ TEST(Rd, ReceiverGapTimeoutRecoversWhenGapSkipIsLost) {
     Bytes msg(10, i);
     ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
   }
-  n.fabric.sim().run();
+  n.topo.sim().run();
   EXPECT_EQ(got, (std::vector<u8>{2, 3}));
   EXPECT_EQ(gaps, 1);
   EXPECT_EQ(n.rdb->stats().rx_gaps, 1u);
@@ -290,7 +290,7 @@ TEST(Rd, ReceiverGapTimeoutRecoversWhenGapSkipIsLost) {
 // hole without waiting for the retransmission timer.
 TEST(Rd, DupAcksTriggerFastRetransmit) {
   RdNet n;
-  n.fabric.uplink(0).set_faults([] {
+  n.topo.host_uplink(0).set_faults([] {
     sim::Faults f;
     f.loss = std::make_unique<sim::TargetedLoss>(std::vector<u64>{1});
     return f;
@@ -302,7 +302,7 @@ TEST(Rd, DupAcksTriggerFastRetransmit) {
     Bytes msg(10, i);
     ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
   }
-  n.fabric.sim().run();
+  n.topo.sim().run();
   EXPECT_EQ(got, (std::vector<u8>{1, 2, 3, 4, 5, 6}));
   EXPECT_GE(n.rda->stats().fast_retransmits, 1u);
   EXPECT_EQ(n.rda->stats().give_ups, 0u);
@@ -313,7 +313,7 @@ TEST(Rd, DupAcksTriggerFastRetransmit) {
 // are recovered by retransmission once the hole closes.
 TEST(Rd, OrderedReorderBufferIsBounded) {
   RdNet n;
-  n.fabric.uplink(0).set_faults([] {
+  n.topo.host_uplink(0).set_faults([] {
     sim::Faults f;
     f.loss = std::make_unique<sim::TargetedLoss>(std::vector<u64>{1});
     return f;
@@ -328,7 +328,7 @@ TEST(Rd, OrderedReorderBufferIsBounded) {
     Bytes msg(10, static_cast<u8>(i));
     ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
   }
-  n.fabric.sim().run();
+  n.topo.sim().run();
   ASSERT_EQ(got.size(), static_cast<std::size_t>(kN));
   for (int i = 1; i <= kN; ++i)
     EXPECT_EQ(got[static_cast<std::size_t>(i - 1)], static_cast<u8>(i));
@@ -337,7 +337,7 @@ TEST(Rd, OrderedReorderBufferIsBounded) {
   EXPECT_EQ(n.rdb->rx_buffered(), 0u);
   EXPECT_EQ(n.b.ledger().category("rd.rx_ooo"), 0);
   // The reorder buffer peak respected the cap (10-byte payloads).
-  EXPECT_LE(n.fabric.sim().telemetry().gauge("rd.rx_ooo_bytes").max(),
+  EXPECT_LE(n.topo.sim().telemetry().gauge("rd.rx_ooo_bytes").max(),
             8.0 * 10.0);
 }
 
@@ -362,10 +362,10 @@ TEST(Rd, AdaptiveRtoAvoidsSpuriousRetransmits) {
     const int kN = 100;
     for (int i = 0; i < kN; ++i)
       EXPECT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
-    n.fabric.sim().run();
+    n.topo.sim().run();
     // The stats view and the telemetry registry agree.
     EXPECT_EQ(n.rda->stats().retransmits,
-              n.fabric.sim().telemetry().counter_value("rd.retries"));
+              n.topo.sim().telemetry().counter_value("rd.retries"));
     return Outcome{static_cast<u64>(n.rda->stats().retransmits),
                    static_cast<u64>(n.rda->stats().give_ups), deliveries};
   };
@@ -388,8 +388,8 @@ TEST(Rd, AdaptiveRtoAvoidsSpuriousRetransmits) {
 TEST(Rd, SameSeedSameRetransmitCounts) {
   auto run = [] {
     RdNet n;
-    n.fabric.uplink(0).set_faults(sim::Faults::bernoulli(0.05));
-    n.fabric.uplink(1).set_faults(sim::Faults::bernoulli(0.05));
+    n.topo.host_uplink(0).set_faults(sim::Faults::bernoulli(0.05));
+    n.topo.host_uplink(1).set_faults(sim::Faults::bernoulli(0.05));
     n.cfg.max_retries = 30;
     n.init();
     std::vector<u8> got;
@@ -398,7 +398,7 @@ TEST(Rd, SameSeedSameRetransmitCounts) {
       Bytes msg(40, static_cast<u8>(i));
       EXPECT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
     }
-    n.fabric.sim().run();
+    n.topo.sim().run();
     return std::tuple{static_cast<u64>(n.rda->stats().retransmits),
                       static_cast<u64>(n.rda->stats().fast_retransmits),
                       static_cast<u64>(n.rdb->stats().duplicates), got};
@@ -415,7 +415,7 @@ TEST(Rd, CumulativeAckRetiresEarlierDatagrams) {
   RdNet n;
   // Drop the ACKs for seq 1 and 2 (b->a ordinals 1 and 2); the ACK for
   // seq 3 then carries cum=3 and retires all three.
-  n.fabric.uplink(1).set_faults([] {
+  n.topo.host_uplink(1).set_faults([] {
     sim::Faults f;
     f.loss = std::make_unique<sim::TargetedLoss>(std::vector<u64>{1, 2});
     return f;
@@ -427,15 +427,15 @@ TEST(Rd, CumulativeAckRetiresEarlierDatagrams) {
     Bytes msg(10, i);
     ASSERT_TRUE(n.rda->send_to({n.b.addr(), 100}, ConstByteSpan{msg}).ok());
   }
-  n.fabric.sim().run();
+  n.topo.sim().run();
   EXPECT_EQ(deliveries, 3);
   EXPECT_EQ(n.rda->unacked(), 0u);
   EXPECT_EQ(n.rda->stats().retransmits, 0u);  // cum ack, not retransmission
 }
 
 TEST(Rd, PerPeerSequencing) {
-  sim::Fabric fabric;
-  host::Host a(fabric, "a"), b(fabric, "b"), c(fabric, "c");
+  sim::Topology topo;
+  host::Host a(topo, "a"), b(topo, "b"), c(topo, "c");
   auto* sa = *a.udp().open(100);
   auto* sb = *b.udp().open(100);
   auto* sc = *c.udp().open(100);
@@ -450,7 +450,7 @@ TEST(Rd, PerPeerSequencing) {
     (void)rda.send_to({b.addr(), 100}, ConstByteSpan{m});
     (void)rda.send_to({c.addr(), 100}, ConstByteSpan{m});
   }
-  fabric.sim().run();
+  topo.sim().run();
   EXPECT_EQ(b_got, 5);
   EXPECT_EQ(c_got, 5);
 }

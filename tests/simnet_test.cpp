@@ -6,7 +6,7 @@
 
 #include "hoststack/host.hpp"
 #include "simnet/cpu.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 
 namespace dgiwarp {
 namespace {
@@ -365,8 +365,8 @@ TEST(Link, DuplicationFaultDeliversASecondCopy) {
 }
 
 TEST(Switch, LearnsAndForwards) {
-  sim::Fabric fabric;
-  host::Host a(fabric, "a"), b(fabric, "b"), c(fabric, "c");
+  sim::Topology topo;
+  host::Host a(topo, "a"), b(topo, "b"), c(topo, "c");
   // First frame to an unknown address floods; replies are then unicast.
   auto* udp_a = *a.udp().open(100);
   auto* udp_b = *b.udp().open(100);
@@ -375,14 +375,14 @@ TEST(Switch, LearnsAndForwards) {
   udp_c->set_handler([&](host::Endpoint, Bytes, bool) { ++c_rx; });
   Bytes msg = bytes_of("x");
   (void)udp_a->send_to({b.addr(), 100}, ConstByteSpan{msg});
-  fabric.sim().run();
+  topo.sim().run();
   EXPECT_EQ(udp_b->datagrams_received(), 1u);
   EXPECT_EQ(c_rx, 0);  // addressed frames don't reach bystanders
   // Reply is unicast (b learned a's port from the flooded frame).
   (void)udp_b->send_to({a.addr(), 100}, ConstByteSpan{msg});
-  fabric.sim().run();
+  topo.sim().run();
   EXPECT_EQ(udp_a->datagrams_received(), 1u);
-  EXPECT_GE(fabric.fabric_switch().frames_forwarded(), 1u);
+  EXPECT_GE(topo.leaf(0).frames_forwarded(), 1u);
 }
 
 TEST(Switch, FdbCapacityEvictsOldestAndDegradesToFlooding) {
@@ -420,30 +420,30 @@ TEST(Switch, FdbCapacityEvictsOldestAndDegradesToFlooding) {
 }
 
 TEST(Switch, FloodNeverReflectsOutIngressPort) {
-  sim::Fabric fabric;
-  host::Host a(fabric, "a"), b(fabric, "b"), c(fabric, "c");
+  sim::Topology topo;
+  host::Host a(topo, "a"), b(topo, "b"), c(topo, "c");
   auto* ua = *a.udp().open(100);
   Bytes msg = bytes_of("x");
   // Unknown destination: the frame floods to b and c. The sender's own
   // downlink must carry nothing — a flood that reflected out its ingress
   // port would echo traffic back at every sender.
   (void)ua->send_to({b.addr(), 100}, ConstByteSpan{msg});
-  fabric.sim().run();
-  EXPECT_GE(fabric.fabric_switch().frames_flooded(), 1u);
-  EXPECT_EQ(fabric.downlink(0).stats().frames_delivered.value(), 0u);
-  EXPECT_EQ(fabric.nic(0).rx_frames(), 0u);
+  topo.sim().run();
+  EXPECT_GE(topo.leaf(0).frames_flooded(), 1u);
+  EXPECT_EQ(topo.host_downlink(0).stats().frames_delivered.value(), 0u);
+  EXPECT_EQ(topo.nic(0).rx_frames(), 0u);
 }
 
-TEST(Fabric, EgressFaultsOnlyAffectThatDirection) {
-  sim::Fabric fabric;
-  host::Host a(fabric, "a"), b(fabric, "b");
-  fabric.uplink(0).set_faults(sim::Faults::bernoulli(1.0));  // drop all a->*
+TEST(Topology, EgressFaultsOnlyAffectThatDirection) {
+  sim::Topology topo;
+  host::Host a(topo, "a"), b(topo, "b");
+  topo.host_uplink(0).set_faults(sim::Faults::bernoulli(1.0));  // drop all a->*
   auto* ua = *a.udp().open(100);
   auto* ub = *b.udp().open(100);
   Bytes msg = bytes_of("y");
   (void)ua->send_to({b.addr(), 100}, ConstByteSpan{msg});
   (void)ub->send_to({a.addr(), 100}, ConstByteSpan{msg});
-  fabric.sim().run();
+  topo.sim().run();
   EXPECT_EQ(ub->datagrams_received(), 0u);  // a's egress is dead
   EXPECT_EQ(ua->datagrams_received(), 1u);  // b's egress is fine
 }

@@ -1,6 +1,5 @@
 // Telemetry subsystem: registry aggregation, the Metric dual view, trace
-// ring bounds, observer ordering, the cost profiler and deterministic JSON
-// export.
+// ring bounds, the cost profiler and deterministic JSON export.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -234,15 +233,6 @@ TEST(Telemetry, TraceDisabledByDefaultRecordsNothing) {
   EXPECT_TRUE(reg.trace().snapshot().empty());
 }
 
-TEST(Telemetry, NullSinkIsCompileTimeNoop) {
-  static_assert(telemetry::TraceSinkLike<telemetry::NullSink>);
-  static_assert(telemetry::TraceSinkLike<telemetry::TraceRing>);
-  static_assert(telemetry::NullSink::kNoop);
-  constexpr telemetry::NullSink sink;
-  static_assert(!sink.enabled());
-  sink.record(TraceKind::kLinkDrop, 1, 2);  // constexpr no-op
-}
-
 TEST(Telemetry, TraceEventsStampedWithVirtualTime) {
   sim::Simulation s;
   auto& reg = s.telemetry();
@@ -255,34 +245,6 @@ TEST(Telemetry, TraceEventsStampedWithVirtualTime) {
   EXPECT_EQ(events[0].t, 100);
   EXPECT_EQ(events[1].t, 250);
   EXPECT_EQ(reg.now(), s.now());
-}
-
-TEST(Telemetry, ObserverSeesEventsInOrder) {
-  struct Recorder : sim::SimObserver {
-    std::vector<std::pair<TimeNs, u64>> seen;
-    void on_event(TimeNs t, u64 seq) override { seen.emplace_back(t, seq); }
-  };
-  sim::Simulation s;
-  Recorder rec;
-  s.set_observer(&rec);
-  s.at(50, [] {});
-  s.at(10, [&s] { s.after(5, [] {}); });
-  s.at(10, [] {});  // same timestamp: FIFO order via seq
-  s.run();
-  s.set_observer(nullptr);
-
-  ASSERT_EQ(rec.seen.size(), 4u);
-  for (std::size_t i = 1; i < rec.seen.size(); ++i) {
-    EXPECT_GE(rec.seen[i].first, rec.seen[i - 1].first);  // monotone in t
-    // Same-timestamp events observe FIFO scheduling order via seq.
-    if (rec.seen[i].first == rec.seen[i - 1].first) {
-      EXPECT_GT(rec.seen[i].second, rec.seen[i - 1].second);
-    }
-  }
-  EXPECT_EQ(rec.seen[0].first, 10);
-  EXPECT_EQ(rec.seen[1].first, 10);
-  EXPECT_EQ(rec.seen[2].first, 15);
-  EXPECT_EQ(rec.seen[3].first, 50);
 }
 
 TEST(Telemetry, MergeFoldsRegistries) {

@@ -13,7 +13,15 @@ namespace {
 
 Bytes small_msg() { return bytes_of("ping"); }
 
-TEST(Topology, SingleLeafMatchesFabricShape) {
+TEST(Topology, DefaultIsPaperTestbed) {
+  // Every two-host experiment builds its fabric with the default Params.
+  const sim::Topology::Params p;
+  EXPECT_EQ(p.host_link.bandwidth_bps, 10e9);
+  EXPECT_EQ(p.host_link.propagation, 300);
+  EXPECT_EQ(p.switch_latency, 500);
+  EXPECT_EQ(p.seed, 0xD6E8FEB86659FD93ull);
+  EXPECT_EQ(p.leaves, 1u);
+
   sim::Topology topo;
   EXPECT_EQ(topo.leaves(), 1u);
   EXPECT_FALSE(topo.has_spine());

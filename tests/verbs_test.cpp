@@ -3,7 +3,7 @@
 // multi-peer UD scalability, the RD-mode QP and the UD RDMA Read extension.
 #include <gtest/gtest.h>
 
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 #include "verbs/device.hpp"
 #include "verbs/qp_rc.hpp"
 #include "verbs/qp_ud.hpp"
@@ -19,7 +19,7 @@ using verbs::WrOpcode;
 
 struct Rig {
   explicit Rig(verbs::DeviceConfig cfg = {})
-      : a(fabric, "a"), b(fabric, "b"), dev_a(a, cfg), dev_b(b, cfg),
+      : a(topo, "a"), b(topo, "b"), dev_a(a, cfg), dev_b(b, cfg),
         pd_a(dev_a.create_pd()), pd_b(dev_b.create_pd()),
         cq_a(dev_a.create_cq()), cq_b(dev_b.create_cq()) {}
 
@@ -30,7 +30,7 @@ struct Rig {
     return *dev_b.create_ud_qp({&pd_b, &cq_b, &cq_b, 0, reliable});
   }
 
-  sim::Fabric fabric;
+  sim::Topology topo;
   host::Host a, b;
   verbs::Device dev_a, dev_b;
   verbs::ProtectionDomain& pd_a;
@@ -47,7 +47,7 @@ TEST(UdQp, LostMessageRecoversReceiveBuffer) {
   auto qb = r.ud_pair_b();
   // Drop one mid-message wire fragment of a multi-datagram message: the
   // 128KB message = 2 datagrams; kill one fragment of the first.
-  r.fabric.uplink(0).set_faults([] {
+  r.topo.host_uplink(0).set_faults([] {
     sim::Faults f;
     f.loss = std::make_unique<sim::TargetedLoss>(std::vector<u64>{5});
     return f;
@@ -62,7 +62,7 @@ TEST(UdQp, LostMessageRecoversReceiveBuffer) {
   wr.remote = {qb->local_ep(), qb->qpn()};
   ASSERT_TRUE(qa->post_send(wr).ok());
 
-  r.fabric.sim().run();  // includes GC
+  r.topo.sim().run();  // includes GC
 
   // The receive WR comes back with an error completion (buffer recovery).
   auto wc = r.cq_b.poll();
@@ -74,10 +74,10 @@ TEST(UdQp, LostMessageRecoversReceiveBuffer) {
   EXPECT_EQ(qb->state(), verbs::QpState::kRts);
 
   // Prove it by sending again on a clean link.
-  r.fabric.uplink(0).set_faults(sim::Faults::none());
+  r.topo.host_uplink(0).set_faults(sim::Faults::none());
   ASSERT_TRUE(qb->post_recv(RecvWr{78, ByteSpan{sink}}).ok());
   ASSERT_TRUE(qa->post_send(wr).ok());
-  r.fabric.sim().run();
+  r.topo.sim().run();
   bool delivered = false;
   while (auto c = r.cq_b.poll())
     if (c->status.ok() && c->wr_id == 78) delivered = true;
@@ -93,7 +93,7 @@ TEST(UdQp, WriteRecordPartialPlacementEndToEnd) {
 
   // 192KB = 3 stack-level datagrams (~44 fragments each); kill one fragment
   // of the SECOND datagram so segment 2 dies but 1 and 3 (with LAST) land.
-  r.fabric.uplink(0).set_faults([] {
+  r.topo.host_uplink(0).set_faults([] {
     sim::Faults f;
     f.loss = std::make_unique<sim::TargetedLoss>(std::vector<u64>{50});
     return f;
@@ -109,7 +109,7 @@ TEST(UdQp, WriteRecordPartialPlacementEndToEnd) {
   wr.remote = {qb->local_ep(), qb->qpn()};
   wr.remote_stag = mr.stag;
   ASSERT_TRUE(qa->post_send(wr).ok());
-  r.fabric.sim().run();
+  r.topo.sim().run();
 
   std::optional<Completion> rec;
   while (auto c = r.cq_b.poll())
@@ -134,7 +134,7 @@ TEST(UdQp, WriteRecordLostFinalSegmentDropsRecord) {
   auto qb = r.ud_pair_b();
   // 128 KiB = datagrams of 45+45+1 wire fragments; kill the final
   // (notifying) datagram's single fragment, #91.
-  r.fabric.uplink(0).set_faults([] {
+  r.topo.host_uplink(0).set_faults([] {
     sim::Faults f;
     f.loss = std::make_unique<sim::TargetedLoss>(std::vector<u64>{91});
     return f;
@@ -150,7 +150,7 @@ TEST(UdQp, WriteRecordLostFinalSegmentDropsRecord) {
   wr.remote = {qb->local_ep(), qb->qpn()};
   wr.remote_stag = mr.stag;
   ASSERT_TRUE(qa->post_send(wr).ok());
-  r.fabric.sim().run();
+  r.topo.sim().run();
 
   while (auto c = r.cq_b.poll())
     EXPECT_NE(c->opcode, WcOpcode::kRecvWriteRecord);
@@ -169,7 +169,7 @@ TEST(UdQp, WriteRecordToBadStagReportsWithoutKillingQp) {
   wr.remote = {qb->local_ep(), qb->qpn()};
   wr.remote_stag = 0xBAD;
   ASSERT_TRUE(qa->post_send(wr).ok());
-  r.fabric.sim().run();
+  r.topo.sim().run();
   EXPECT_EQ(qb->stats().placement_errors, 1u);
   EXPECT_EQ(qa->stats().terminates_rx, 1u);  // reported back in-band
   EXPECT_EQ(qa->state(), verbs::QpState::kRts);
@@ -195,7 +195,7 @@ TEST(UdQp, CorruptedSegmentDroppedByCrc) {
   auto* raw = *r.a.udp().open(0);
   Bytes junk = make_pattern(200, 9);
   (void)raw->send_to({r.b.addr(), qb->local_port()}, ConstByteSpan{junk});
-  r.fabric.sim().run();
+  r.topo.sim().run();
   EXPECT_EQ(qb->stats().crc_drops, 1u);
   EXPECT_EQ(qb->state(), verbs::QpState::kRts);
   (void)qa;
@@ -210,7 +210,7 @@ TEST(UdQp, InFlightCorruptionDroppedByCrcQpStaysUsable) {
   auto qb = r.ud_pair_b();
   // Wire layout: IP(20) + UDP(8) + DDP header(32) + payload; offset 62
   // strikes payload byte 2 of the first (and only) datagram.
-  r.fabric.uplink(0).set_faults(
+  r.topo.host_uplink(0).set_faults(
       sim::Faults::targeted_corruption({{1, 62, 0xFF}}));
 
   Bytes sink(64, 0);
@@ -221,21 +221,21 @@ TEST(UdQp, InFlightCorruptionDroppedByCrcQpStaysUsable) {
   wr.local = ConstByteSpan{msg};
   wr.remote = {qb->local_ep(), qb->qpn()};
   ASSERT_TRUE(qa->post_send(wr).ok());
-  r.fabric.sim().run();
+  r.topo.sim().run();
 
   EXPECT_EQ(qb->stats().crc_drops, 1u);
   EXPECT_EQ(qb->stats().crc_escapes, 0u);
-  EXPECT_EQ(r.fabric.sim().telemetry().counter_value(
+  EXPECT_EQ(r.topo.sim().telemetry().counter_value(
                 "simnet.link.frames_corrupted"),
             1u);
   EXPECT_EQ(qb->state(), verbs::QpState::kRts);  // relaxed UD error rules
 
   // Channel heals: the same QP delivers the next message into the still
   // outstanding receive buffer.
-  r.fabric.uplink(0).set_faults(sim::Faults::none());
+  r.topo.host_uplink(0).set_faults(sim::Faults::none());
   wr.wr_id = 11;
   ASSERT_TRUE(qa->post_send(wr).ok());
-  r.fabric.sim().run();
+  r.topo.sim().run();
   auto c = r.cq_b.poll();
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(sink, msg);
@@ -250,7 +250,7 @@ TEST(UdQp, CrcOffMeasuresSilentCorruptionEscape) {
   Rig r(cfg);
   auto qa = r.ud_pair_a();
   auto qb = r.ud_pair_b();
-  r.fabric.uplink(0).set_faults(
+  r.topo.host_uplink(0).set_faults(
       sim::Faults::targeted_corruption({{1, 62, 0xFF}}));
 
   Bytes sink(64, 0);
@@ -260,11 +260,11 @@ TEST(UdQp, CrcOffMeasuresSilentCorruptionEscape) {
   wr.local = ConstByteSpan{msg};
   wr.remote = {qb->local_ep(), qb->qpn()};
   ASSERT_TRUE(qa->post_send(wr).ok());
-  r.fabric.sim().run();
+  r.topo.sim().run();
 
   EXPECT_EQ(qb->stats().crc_drops, 0u);
   EXPECT_EQ(qb->stats().crc_escapes, 1u);
-  EXPECT_EQ(r.fabric.sim().telemetry().counter_value("verbs.ud.crc_escapes"),
+  EXPECT_EQ(r.topo.sim().telemetry().counter_value("verbs.ud.crc_escapes"),
             1u);
   // The message was delivered -- wrongly. Byte 2 carries the struck bit.
   auto c = r.cq_b.poll();
@@ -282,7 +282,7 @@ TEST(UdQp, NoPostedBufferDropsDatagramOnly) {
   wr.local = ConstByteSpan{msg};
   wr.remote = {qb->local_ep(), qb->qpn()};
   ASSERT_TRUE(qa->post_send(wr).ok());
-  r.fabric.sim().run();
+  r.topo.sim().run();
   EXPECT_EQ(qb->stats().no_buffer_drops, 1u);
   EXPECT_EQ(qb->state(), verbs::QpState::kRts);
 }
@@ -290,8 +290,8 @@ TEST(UdQp, NoPostedBufferDropsDatagramOnly) {
 TEST(UdQp, OneQpServesManyPeers) {
   // The connectionless scalability claim: one QP talks to N peers, with
   // per-source completions.
-  sim::Fabric fabric;
-  host::Host server_host(fabric, "server");
+  sim::Topology topo;
+  host::Host server_host(topo, "server");
   verbs::Device server_dev(server_host);
   auto& pd = server_dev.create_pd();
   auto& cq = server_dev.create_cq();
@@ -304,7 +304,7 @@ TEST(UdQp, OneQpServesManyPeers) {
   Bytes sink(256, 0);
   for (int i = 0; i < kPeers; ++i) {
     hosts.push_back(std::make_unique<host::Host>(
-        fabric, "peer" + std::to_string(i)));
+        topo, "peer" + std::to_string(i)));
     devs.push_back(std::make_unique<verbs::Device>(*hosts.back()));
     auto& ppd = devs.back()->create_pd();
     auto& pcq = devs.back()->create_cq();
@@ -319,7 +319,7 @@ TEST(UdQp, OneQpServesManyPeers) {
     wr.remote = {server_qp->local_ep(), server_qp->qpn()};
     ASSERT_TRUE(qps[static_cast<std::size_t>(i)]->post_send(wr).ok());
   }
-  fabric.sim().run();
+  topo.sim().run();
   std::set<u32> sources;
   while (auto c = cq.poll())
     if (c->status.ok() && c->opcode == WcOpcode::kRecv)
@@ -333,7 +333,7 @@ TEST(UdQp, ReliableModeDeliversUnderLoss) {
   Rig r(cfg);
   auto qa = r.ud_pair_a(/*reliable=*/true);
   auto qb = r.ud_pair_b(/*reliable=*/true);
-  r.fabric.uplink(0).set_faults(sim::Faults::bernoulli(0.2));
+  r.topo.host_uplink(0).set_faults(sim::Faults::bernoulli(0.2));
 
   // Single-fragment datagrams: at 20% frame loss a 32 KiB datagram (23
   // fragments) would almost never survive intact — RD retransmits whole
@@ -346,7 +346,7 @@ TEST(UdQp, ReliableModeDeliversUnderLoss) {
   wr.local = ConstByteSpan{msg};
   wr.remote = {qb->local_ep(), qb->qpn()};
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(qa->post_send(wr).ok());
-  r.fabric.sim().run();
+  r.topo.sim().run();
   int delivered = 0;
   while (auto c = r.cq_b.poll())
     if (c->status.ok() && c->opcode == WcOpcode::kRecv) ++delivered;
@@ -398,7 +398,7 @@ TEST(UdQp, RdmaReadExtensionTimesOutOnLoss) {
   Rig r(cfg);
   auto qa = r.ud_pair_a();
   auto qb = r.ud_pair_b();
-  r.fabric.uplink(1).set_faults(sim::Faults::bernoulli(1.0));  // kill replies
+  r.topo.host_uplink(1).set_faults(sim::Faults::bernoulli(1.0));  // no replies
 
   Bytes remote_data(1024, 0);
   auto mr = r.pd_b.register_memory(ByteSpan{remote_data},
@@ -412,7 +412,7 @@ TEST(UdQp, RdmaReadExtensionTimesOutOnLoss) {
   wr.read_sink = ByteSpan{sink};
   wr.read_len = 1024;
   ASSERT_TRUE(qa->post_send(wr).ok());
-  r.fabric.sim().run();
+  r.topo.sim().run();
   auto done = r.cq_a.poll();
   ASSERT_TRUE(done.has_value());
   EXPECT_EQ(done->status.code(), Errc::kMessageDropped);
@@ -445,7 +445,7 @@ TEST(UdQp, UnsignaledSendsProduceNoCompletion) {
   wr.remote = {qb->local_ep(), qb->qpn()};
   wr.signaled = false;
   ASSERT_TRUE(qa->post_send(wr).ok());
-  r.fabric.sim().run();
+  r.topo.sim().run();
   // Receiver saw it; sender CQ stays empty.
   EXPECT_TRUE(r.cq_b.poll().has_value());
   EXPECT_FALSE(r.cq_a.poll().has_value());
@@ -453,15 +453,15 @@ TEST(UdQp, UnsignaledSendsProduceNoCompletion) {
 
 TEST(Cq, WaitTimesOutWhenNothingArrives) {
   Rig r;
-  const TimeNs t0 = r.fabric.sim().now();
+  const TimeNs t0 = r.topo.sim().now();
   auto wc = r.cq_a.wait(3 * kMillisecond);
   EXPECT_FALSE(wc.has_value());
-  EXPECT_GE(r.fabric.sim().now() - t0, 3 * kMillisecond);
+  EXPECT_GE(r.topo.sim().now() - t0, 3 * kMillisecond);
 }
 
 TEST(Cq, OverrunDropsAndCounts) {
-  sim::Fabric fabric;
-  host::Host h(fabric, "h");
+  sim::Topology topo;
+  host::Host h(topo, "h");
   verbs::CompletionQueue cq(h, 2);
   for (int i = 0; i < 5; ++i) cq.push(Completion{});
   EXPECT_EQ(cq.depth(), 2u);
@@ -469,8 +469,8 @@ TEST(Cq, OverrunDropsAndCounts) {
 }
 
 TEST(Cq, BatchPoll) {
-  sim::Fabric fabric;
-  host::Host h(fabric, "h");
+  sim::Topology topo;
+  host::Host h(topo, "h");
   verbs::CompletionQueue cq(h, 16);
   for (u64 i = 0; i < 5; ++i) {
     Completion c;
@@ -493,13 +493,13 @@ TEST(RcQp, NoReceiveBufferIsFatalOnRc) {
                   .ok());
   auto client = *r.dev_a.rc_connect({&r.pd_a, &r.cq_a, &r.cq_a},
                                     r.b.endpoint(800));
-  r.fabric.sim().run_while_pending([&] { return server != nullptr; }, kSecond);
+  r.topo.sim().run_while_pending([&] { return server != nullptr; }, kSecond);
   ASSERT_NE(server, nullptr);
   Bytes msg(64, 1);
   SendWr wr;
   wr.local = ConstByteSpan{msg};
   ASSERT_TRUE(client->post_send(wr).ok());
-  r.fabric.sim().run_while_pending(
+  r.topo.sim().run_while_pending(
       [&] { return server->state() == verbs::QpState::kError; }, kSecond);
   EXPECT_EQ(server->state(), verbs::QpState::kError);
 }
@@ -514,7 +514,7 @@ TEST(RcQp, WriteRecordOverReliableTransport) {
                   .ok());
   auto client = *r.dev_a.rc_connect({&r.pd_a, &r.cq_a, &r.cq_a},
                                     r.b.endpoint(800));
-  r.fabric.sim().run_while_pending([&] { return server != nullptr; }, kSecond);
+  r.topo.sim().run_while_pending([&] { return server != nullptr; }, kSecond);
   ASSERT_NE(server, nullptr);
 
   Bytes region(64 * KiB, 0);
@@ -547,12 +547,12 @@ TEST(RcQp, CorruptedFpduFailsCrcAndTerminates) {
                   .ok());
   auto client = *r.dev_a.rc_connect({&r.pd_a, &r.cq_a, &r.cq_a},
                                     r.b.endpoint(800));
-  r.fabric.sim().run();  // quiesce the handshake completely
+  r.topo.sim().run();  // quiesce the handshake completely
   ASSERT_NE(server, nullptr);
 
   // Strike the next a->b frame (the data FPDU) inside the TCP payload:
   // IP(20) + TCP(30) = 50, so offset 55 lands in the MPA/DDP bytes.
-  r.fabric.uplink(0).set_faults(
+  r.topo.host_uplink(0).set_faults(
       sim::Faults::targeted_corruption({{1, 55, 0xFF}}));
 
   Bytes sink(64, 0);
@@ -561,7 +561,7 @@ TEST(RcQp, CorruptedFpduFailsCrcAndTerminates) {
   SendWr wr;
   wr.local = ConstByteSpan{msg};
   ASSERT_TRUE(client->post_send(wr).ok());
-  r.fabric.sim().run();
+  r.topo.sim().run();
 
   EXPECT_GE(server->stats().fpdu_crc_failures, 1u);
   EXPECT_EQ(server->stats().crc_escapes, 0u);
@@ -570,7 +570,7 @@ TEST(RcQp, CorruptedFpduFailsCrcAndTerminates) {
   // stream came down, so the client learned the real reason.
   EXPECT_EQ(client->state(), verbs::QpState::kError);
   EXPECT_GE(client->stats().terminates_rx, 1u);
-  EXPECT_EQ(r.fabric.sim().telemetry().counter_value(
+  EXPECT_EQ(r.topo.sim().telemetry().counter_value(
                 "verbs.rc.fpdu_crc_failures"),
             server->stats().fpdu_crc_failures);
   // The corrupted bytes never reached the application buffer.
@@ -592,16 +592,16 @@ TEST(RcQp, CorruptedTerminateTearsDownWithoutLoop) {
                   .ok());
   auto client = *r.dev_a.rc_connect({&r.pd_a, &r.cq_a, &r.cq_a},
                                     r.b.endpoint(800));
-  r.fabric.sim().run();
+  r.topo.sim().run();
   ASSERT_NE(server, nullptr);
 
   // a->b: corrupt the data FPDU. b->a (= a's ingress): corrupt every frame
   // for a while, so whichever frame carries the Terminate arrives damaged.
-  r.fabric.uplink(0).set_faults(
+  r.topo.host_uplink(0).set_faults(
       sim::Faults::targeted_corruption({{1, 55, 0xFF}}));
   std::vector<sim::CorruptTarget> all;
   for (u64 i = 1; i <= 64; ++i) all.push_back({i, 55, 0x40});
-  r.fabric.downlink(0).set_faults(sim::Faults::targeted_corruption(all));
+  r.topo.host_downlink(0).set_faults(sim::Faults::targeted_corruption(all));
 
   Bytes msg = make_pattern(64, 7);
   SendWr wr;
@@ -609,7 +609,7 @@ TEST(RcQp, CorruptedTerminateTearsDownWithoutLoop) {
   ASSERT_TRUE(client->post_send(wr).ok());
   // run() returning at all proves teardown converges (no terminate loop,
   // no immortal retransmission).
-  r.fabric.sim().run();
+  r.topo.sim().run();
 
   EXPECT_EQ(server->state(), verbs::QpState::kError);
   EXPECT_EQ(client->state(), verbs::QpState::kError);
@@ -629,10 +629,10 @@ TEST(RcQp, DisconnectMovesPeerToError) {
                   .ok());
   auto client = *r.dev_a.rc_connect({&r.pd_a, &r.cq_a, &r.cq_a},
                                     r.b.endpoint(800));
-  r.fabric.sim().run_while_pending([&] { return server != nullptr; }, kSecond);
+  r.topo.sim().run_while_pending([&] { return server != nullptr; }, kSecond);
   ASSERT_NE(server, nullptr);
   client->disconnect();
-  r.fabric.sim().run_while_pending(
+  r.topo.sim().run_while_pending(
       [&] { return server->state() == verbs::QpState::kError; }, kSecond);
   EXPECT_EQ(server->state(), verbs::QpState::kError);
 }

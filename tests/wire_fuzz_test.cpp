@@ -5,7 +5,7 @@
 // Terminate messages, MPA FPDU streams, RD packets, the IP/UDP/TCP stack
 // (fed whole frames through IpLayer::on_frame) and SIP messages. The
 // invariants are uniform: never crash, never read out of bounds (enforced
-// by the verify-fuzz ASan/UBSan build of this same binary), and either
+// by the verify-asan ASan/UBSan build of this same binary), and either
 // return a well-formed object or a clean Status. The corpus is a pure
 // function of the seed — see FuzzCorpusIsDeterministic.
 #include <gtest/gtest.h>
@@ -20,7 +20,7 @@
 #include "rd/reliable.hpp"
 #include "rdmap/message.hpp"
 #include "rdmap/terminate.hpp"
-#include "simnet/fabric.hpp"
+#include "simnet/topology.hpp"
 
 namespace dgiwarp {
 namespace {
@@ -233,10 +233,10 @@ Bytes ip_frame_payload(u8 proto, u8 flags, u16 ident, u32 offset, u32 total,
 }
 
 TEST(WireFuzz, HostStackSurvivesMutatedFrames) {
-  sim::Fabric::Params params;
+  sim::Topology::Params params;
   params.seed = kSeed;
-  sim::Fabric fabric(params);
-  host::Host h(fabric, "fuzz-target");
+  sim::Topology topo(params);
+  host::Host h(topo, "fuzz-target");
 
   // A bound UDP socket and a TCP listener so mutated frames reach the full
   // demux + delivery paths, not just the parsers.
@@ -304,9 +304,9 @@ TEST(WireFuzz, HostStackSurvivesMutatedFrames) {
     f.id = frame_id++;
     f.payload = m.mutate(ConstByteSpan{base}, ConstByteSpan{other});
     h.ip().on_frame(std::move(f));
-    if ((i & 63) == 63) fabric.sim().run();
+    if ((i & 63) == 63) topo.sim().run();
   }
-  fabric.sim().run();
+  topo.sim().run();
 
   // The stack had to both reject garbage and keep functioning: re-inject
   // the pristine UDP frame and see it delivered.
@@ -318,10 +318,10 @@ TEST(WireFuzz, HostStackSurvivesMutatedFrames) {
   ok.id = frame_id++;
   ok.payload = base_udp;
   h.ip().on_frame(std::move(ok));
-  fabric.sim().run();
+  topo.sim().run();
   EXPECT_EQ(udp_rx, before + 64);
 
-  const auto& reg = fabric.sim().telemetry();
+  const auto& reg = topo.sim().telemetry();
   EXPECT_GT(reg.counter_value("hoststack.ip.parse_rejects") +
                 reg.counter_value("hoststack.udp.parse_rejects") +
                 reg.counter_value("hoststack.tcp.parse_rejects") +
