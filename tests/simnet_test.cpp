@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
+#include <memory>
+#include <random>
+#include <type_traits>
+#include <vector>
 
+#include "common/memcount.hpp"
 #include "hoststack/host.hpp"
 #include "simnet/cpu.hpp"
 #include "simnet/topology.hpp"
@@ -75,6 +82,153 @@ TEST(Simulation, RunWhilePendingRespectsDeadline) {
   EXPECT_FALSE(sim.run_while_pending([&] { return flag; }, 500));
   EXPECT_EQ(sim.now(), 500);
   EXPECT_TRUE(sim.run_while_pending([&] { return flag; }, 2000));
+}
+
+// Live-instance bookkeeping for a captured object: `destroyed` counts only
+// instances that still owned their value (not moved-from shells).
+struct InstanceStats {
+  int live = 0;
+  int copies = 0;
+  int destroyed = 0;
+};
+
+struct Counted {
+  explicit Counted(InstanceStats* s) : stats(s) { ++stats->live; }
+  Counted(const Counted& o) : stats(o.stats) {
+    ++stats->live;
+    ++stats->copies;
+  }
+  Counted(Counted&& o) noexcept : stats(o.stats) {
+    ++stats->live;
+    o.owner = false;
+  }
+  Counted& operator=(const Counted&) = delete;
+  Counted& operator=(Counted&&) = delete;
+  ~Counted() {
+    --stats->live;
+    if (owner) ++stats->destroyed;
+  }
+  InstanceStats* stats;
+  bool owner = true;
+};
+
+static_assert(!std::is_copy_constructible_v<sim::Task>);
+static_assert(!std::is_copy_assignable_v<sim::Task>);
+static_assert(std::is_nothrow_move_constructible_v<sim::Task>);
+
+TEST(Simulation, TaskIsMoveOnly) {
+  int runs = 0;
+  sim::Task a = [&runs] { ++runs; };
+  sim::Task b = std::move(a);
+  EXPECT_FALSE(a);
+  ASSERT_TRUE(b);
+  b();
+  sim::Task c;
+  c = std::move(b);
+  EXPECT_FALSE(b);
+  c();
+  EXPECT_EQ(runs, 2);
+}
+
+TEST(Simulation, StepDoesNotCopyCapturedPayload) {
+  Simulation sim;
+  Bytes payload(64 * 1024, 0xAB);
+  const u8* data = payload.data();
+  const u8* seen = nullptr;
+  sim.after(10, [p = std::move(payload), &seen] { seen = p.data(); });
+  const mem::AllocTally before = mem::snapshot();
+  sim.run();
+  EXPECT_EQ(mem::delta(before).count, 0u);
+  EXPECT_EQ(seen, data);
+}
+
+TEST(Simulation, FrameClosureFitsInline) {
+  Simulation sim;
+  sim::Frame frame;
+  frame.payload.assign(1500, 0x5A);
+  const u8* data = frame.payload.data();
+  const u8* seen = nullptr;
+  const u8** ptr = &seen;
+  auto closure = [ptr, fr = std::move(frame)] { *ptr = fr.payload.data(); };
+  static_assert(sizeof(closure) <= sim::Task::kInlineSize);
+  static_assert(sim::Task::fits_inline<decltype(closure)>);
+  sim.after(1, std::move(closure));
+  sim.run();
+  EXPECT_EQ(seen, data);
+}
+
+TEST(Simulation, LargeClosureRunsOnceDestroysOnce) {
+  InstanceStats stats;
+  int runs = 0;
+  {
+    Simulation sim;
+    std::array<u64, 32> pad{};
+    pad[31] = 1;
+    auto big = [c = Counted{&stats}, pad, &runs] {
+      runs += static_cast<int>(pad[31]);
+    };
+    static_assert(!sim::Task::fits_inline<decltype(big)>);
+    sim.after(5, std::move(big));
+    EXPECT_EQ(stats.destroyed, 0);
+    sim.run();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(stats.destroyed, 1);
+    EXPECT_EQ(stats.live, 1);  // only the moved-from `big` is left
+  }
+  EXPECT_EQ(stats.live, 0);
+  EXPECT_EQ(stats.destroyed, 1);
+  EXPECT_EQ(stats.copies, 0);
+}
+
+TEST(Simulation, PendingTasksFreedWithSimulation) {
+  auto token = std::make_shared<int>(7);
+  {
+    Simulation sim;
+    std::array<u64, 32> pad{};
+    sim.at(100, [token] {});
+    sim.at(200, [token, pad] { (void)pad; });  // boxed
+    sim.at(50, [token] {});
+    EXPECT_EQ(token.use_count(), 4);
+    sim.run_until(60);  // a task that ran is freed at once
+    EXPECT_EQ(token.use_count(), 3);
+  }
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(Simulation, SlotReuseKeepsTimeSeqOrder) {
+  Simulation sim;
+  std::mt19937_64 rng(20110516);
+  struct Scheduled {
+    TimeNs time;
+    u64 seq;
+  };
+  std::vector<Scheduled> scheduled;
+  std::vector<u64> ran;
+  std::array<u64, 16> pad{};
+  for (int i = 0; i < 10'000; ++i) {
+    if (rng() % 3 == 0) {
+      sim.step();
+      continue;
+    }
+    // Some times fall in the past and clamp to now().
+    const TimeNs t = sim.now() + static_cast<TimeNs>(rng() % 64) - 8;
+    const u64 seq = scheduled.size();
+    scheduled.push_back({std::max(t, sim.now()), seq});
+    if (seq % 5 == 0) {
+      sim.at(t, [&ran, seq, pad] { ran.push_back(seq + pad[0]); });  // boxed
+    } else {
+      sim.at(t, [&ran, seq] { ran.push_back(seq); });
+    }
+  }
+  sim.run();
+  std::stable_sort(scheduled.begin(), scheduled.end(),
+                   [](const Scheduled& a, const Scheduled& b) {
+                     return a.time < b.time;
+                   });
+  std::vector<u64> want;
+  for (const Scheduled& s : scheduled) want.push_back(s.seq);
+  EXPECT_EQ(ran, want);
+  EXPECT_TRUE(sim.idle());
 }
 
 TEST(Cpu, UserChargesQueueFifo) {
