@@ -136,6 +136,7 @@ class RateController {
   CcParams params_;
   std::map<u64, Flow> flows_;
   telemetry::Metric cnps_;  // mirrors into cc.cnps
+  telemetry::LazyGauge rate_gauge_{"cc.rate_bps"};
   u64 rate_decreases_ = 0;
 };
 

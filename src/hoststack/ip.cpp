@@ -1,5 +1,6 @@
 #include "hoststack/ip.hpp"
 
+#include <cstring>
 #include <utility>
 
 #include "common/log.hpp"
@@ -19,14 +20,18 @@ struct IpHeader {
   u32 offset = 0;
   u32 total = 0;
 
-  void serialize(Bytes& out) const {
-    WireWriter w(out);
-    w.u8be(proto);
-    w.u8be(flags);
-    w.u16be(ident);
-    w.u32be(offset);
-    w.u32be(total);
-    w.u64be(0);  // reserved padding to 20 B
+  /// Write the header into the first kIpHeaderBytes of `out`.
+  void serialize(ByteSpan out) const {
+    auto put_be = [&out](std::size_t at, u64 v, std::size_t n) {
+      for (std::size_t i = 0; i < n; ++i)
+        out[at + i] = static_cast<u8>(v >> (8 * (n - 1 - i)));
+    };
+    put_be(0, proto, 1);
+    put_be(1, flags, 1);
+    put_be(2, ident, 2);
+    put_be(4, offset, 4);
+    put_be(8, total, 4);
+    put_be(12, 0, 8);  // reserved padding to 20 B
   }
   static Result<IpHeader> parse(WireReader& r) {
     IpHeader h;
@@ -81,10 +86,13 @@ Status IpLayer::send(u8 proto, u32 dst_ip, Bytes payload) {
     f.dst = dst_ip;
     f.proto = sim::kProtoIpv4;
     f.span = ctx_.active_span;  // lifecycle span rides the frame
-    f.payload.reserve(kIpHeaderBytes + n);
-    h.serialize(f.payload);
-    f.payload.insert(f.payload.end(), payload.begin() + static_cast<long>(off),
-                     payload.begin() + static_cast<long>(off + n));
+    // Header and fragment are written straight into the frame's one
+    // shared buffer; nothing downstream copies them again.
+    f.payload = sim::Payload::build(kIpHeaderBytes + n, [&](ByteSpan out) {
+      h.serialize(out);
+      if (n > 0)
+        std::memcpy(out.data() + kIpHeaderBytes, payload.data() + off, n);
+    });
 
     // Per-fragment kernel transmit cost; the frame enters the wire when the
     // CPU has finished preparing it.
@@ -102,7 +110,7 @@ Status IpLayer::send(u8 proto, u32 dst_ip, Bytes payload) {
 }
 
 void IpLayer::on_frame(sim::Frame f) {
-  WireReader r(ConstByteSpan{f.payload});
+  WireReader r(f.payload.span());
   auto hr = IpHeader::parse(r);
   if (!hr.ok()) {
     ++parse_rejects_;

@@ -183,6 +183,7 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   telemetry::Metric seg_rx_;
   telemetry::Metric retx_;
   telemetry::Metric delivered_bytes_;
+  telemetry::LazyGauge cwnd_gauge_{"hoststack.tcp.cwnd_bytes"};
 
   MemCharge mem_;
 };

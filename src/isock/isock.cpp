@@ -200,8 +200,7 @@ void ISockStack::deliver_datagram(Sock& s, Endpoint src, ConstByteSpan data) {
     return;
   }
   s.rx_queue.emplace_back(src, Bytes(data.begin(), data.end()));
-  reg.gauge("isock.pool.rx_queue_depth")
-      .set(static_cast<double>(s.rx_queue.size()));
+  rx_queue_gauge_.get(reg).set(static_cast<double>(s.rx_queue.size()));
 }
 
 void ISockStack::handle_control(Sock& s, Endpoint src, ConstByteSpan data) {

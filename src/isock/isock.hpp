@@ -181,6 +181,7 @@ class ISockStack {
   int next_fd_ = 3;
   std::map<int, Sock> socks_;
   std::map<u32, int> qpn_fd_;  // stream QP -> fd (CQs are shared on accept)
+  telemetry::LazyGauge rx_queue_gauge_{"isock.pool.rx_queue_depth"};
 };
 
 }  // namespace dgiwarp::isock

@@ -279,7 +279,7 @@ void ReliableDatagram::on_timeout(Endpoint dst, u64 seq, u64 gen) {
     // Karn/RFC 6298 backoff: the estimator is not updated from
     // retransmitted packets, but the timeout itself doubles up to the cap.
     tx.rto = std::min(2 * peer_rto(tx), config_.max_rto);
-    ctx_.sim.telemetry().gauge("rd.rto_ns").set(static_cast<double>(tx.rto));
+    rto_gauge_.get(ctx_.sim.telemetry()).set(static_cast<double>(tx.rto));
   }
   transmit(dst, seq, tx);
 }
@@ -297,7 +297,7 @@ void ReliableDatagram::update_rtt(PeerTx& tx, TimeNs sample) {
   }
   tx.rto = std::clamp(tx.srtt + 4 * tx.rttvar, config_.min_rto,
                       config_.max_rto);
-  ctx_.sim.telemetry().gauge("rd.rto_ns").set(static_cast<double>(tx.rto));
+  rto_gauge_.get(ctx_.sim.telemetry()).set(static_cast<double>(tx.rto));
 }
 
 void ReliableDatagram::ack_one(Endpoint src, PeerTx& tx, u64 seq,
@@ -742,8 +742,7 @@ void ReliableDatagram::account_ooo(PeerRx& rx, i64 delta) {
   if (ctx_.ledger) ctx_.ledger->add("rd.rx_ooo", delta);
   std::size_t total = 0;
   for (const auto& [_, peer] : rx_) total += peer.ooo_bytes;
-  ctx_.sim.telemetry().gauge("rd.rx_ooo_bytes").set(
-      static_cast<double>(total));
+  ooo_bytes_gauge_.get(ctx_.sim.telemetry()).set(static_cast<double>(total));
 }
 
 std::size_t ReliableDatagram::unacked() const {

@@ -252,6 +252,8 @@ class ReliableDatagram {
   std::map<Endpoint, PeerTx> tx_;
   std::map<Endpoint, PeerRx> rx_;
   RdStats stats_;
+  telemetry::LazyGauge rto_gauge_{"rd.rto_ns"};
+  telemetry::LazyGauge ooo_bytes_gauge_{"rd.rx_ooo_bytes"};
   u64 timer_counter_ = 0;
 };
 

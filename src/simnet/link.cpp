@@ -47,17 +47,16 @@ std::size_t Link::queue_depth() const {
   // Refresh the registry gauge after pruning: it is otherwise only set at
   // enqueue time, so on an idle link it would keep reporting the depth as
   // of the last transmit — phantom standing queue to anything sampling the
-  // gauge between frames. Guarded on max_depth_ so a never-used link does
-  // not materialize the key (enqueue is what first creates it).
-  if (max_depth_ > 0)
-    sim_.telemetry().gauge("simnet.link.queue_depth")
-        .set(static_cast<double>(departures_.size()));
+  // gauge between frames. Only a gauge some enqueue already bound is set,
+  // so a never-used link does not materialize the key.
+  if (telemetry::Gauge* g = queue_depth_gauge_.bound())
+    g->set(static_cast<double>(departures_.size()));
   return departures_.size();
 }
 
 void Link::transmit(Frame f) {
   ++stats_.frames_offered;
-  auto& telem = sim_.telemetry();
+  auto& reg = sim_.telemetry();
 
   // Per-port output-queue state first: the admission decisions below look
   // at the depth the frame finds on arrival. Pruned lazily against now()
@@ -71,11 +70,11 @@ void Link::transmit(Frame f) {
   if (queue_capacity_ > 0 && departures_.size() >= queue_capacity_) {
     ++stats_.frames_dropped;
     ++stats_.queue_drops;
-    telem.trace().record(telemetry::TraceKind::kLinkDrop, f.id,
-                         f.wire_bytes());
+    reg.trace().record(telemetry::TraceKind::kLinkDrop, f.id,
+                       f.wire_bytes());
     if (f.span)
-      telem.spans().stage_at(f.span, telemetry::Stage::kDropped, sim_.now(),
-                             f.id);
+      reg.spans().stage_at(f.span, telemetry::Stage::kDropped, sim_.now(),
+                           f.id);
     DGI_TRACE("link", "%s queue overflow dropped frame id=%llu (%zu queued)",
               name_.c_str(), static_cast<unsigned long long>(f.id),
               departures_.size());
@@ -90,8 +89,8 @@ void Link::transmit(Frame f) {
   if (ecn_threshold_ > 0 && departures_.size() >= ecn_threshold_) {
     f.ecn = true;
     ++stats_.frames_marked;
-    telem.trace().record(telemetry::TraceKind::kEcnMark, f.id,
-                         departures_.size());
+    reg.trace().record(telemetry::TraceKind::kEcnMark, f.id,
+                       departures_.size());
   }
 
   // Output queueing: serialization starts when the link frees up.
@@ -101,20 +100,16 @@ void Link::transmit(Frame f) {
 
   departures_.push_back(tx_done);
   if (departures_.size() > max_depth_) max_depth_ = departures_.size();
-  sim_.telemetry().gauge("simnet.link.queue_depth")
-      .set(static_cast<double>(departures_.size()));
+  queue_depth_gauge_.get(reg).set(static_cast<double>(departures_.size()));
 
-  auto& reg = sim_.telemetry();
   auto& spans = reg.spans();
   if (start > sim_.now()) {
     ++stats_.frames_queued;
-    reg.gauge("simnet.link.queue_wait_ns").set(
-        static_cast<double>(start - sim_.now()));
+    queue_wait_gauge_.get(reg).set(static_cast<double>(start - sim_.now()));
     // Queue-depth sampling rides the span switch: per-frame histogram
     // samples only accumulate while someone is watching lifecycles.
     if (spans.enabled())
-      reg.histogram("simnet.link.queue_wait_hist_ns")
-          .add(static_cast<double>(start - sim_.now()));
+      queue_wait_hist_.get(reg).add(static_cast<double>(start - sim_.now()));
   }
   // Serialization onto the wire begins at `start` — stamped explicitly so
   // the span's queueing phase is exact even though transmit() runs now.
@@ -133,15 +128,21 @@ void Link::transmit(Frame f) {
 
   // Corruption happens after the loss decision: a dropped frame never
   // consults the corruption model, and serialization time was charged for
-  // the original length even if the model truncates the tail.
-  if (faults_.corruption && !f.payload.empty() &&
-      faults_.corruption->corrupt(frng, sim_.now(), f.payload)) {
-    f.corrupted = true;
-    ++stats_.frames_corrupted;
-    reg.trace().record(telemetry::TraceKind::kLinkCorrupt, f.id,
-                       f.wire_bytes());
-    DGI_TRACE("link", "%s corrupted frame id=%llu (%zu B)", name_.c_str(),
-              static_cast<unsigned long long>(f.id), f.payload.size());
+  // the original length even if the model truncates the tail. The payload
+  // is shared with every other copy of this frame (flood siblings, a
+  // duplicate), so the model damages a private copy, and the frame takes
+  // it only if the model changed something.
+  if (faults_.corruption && !f.payload.empty()) {
+    Bytes damaged(f.payload.begin(), f.payload.end());
+    if (faults_.corruption->corrupt(frng, sim_.now(), damaged)) {
+      f.payload = Payload(ConstByteSpan{damaged});
+      f.corrupted = true;
+      ++stats_.frames_corrupted;
+      reg.trace().record(telemetry::TraceKind::kLinkCorrupt, f.id,
+                         f.wire_bytes());
+      DGI_TRACE("link", "%s corrupted frame id=%llu (%zu B)", name_.c_str(),
+                static_cast<unsigned long long>(f.id), f.payload.size());
+    }
   }
 
   TimeNs arrive = tx_done + params_.propagation;

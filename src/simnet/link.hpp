@@ -102,6 +102,12 @@ class Link {
   std::size_t ecn_threshold_ = 0;   // 0 = no marking
   std::size_t queue_capacity_ = 0;  // 0 = unbounded
   bool cc_counters_bound_ = false;
+  // Per-frame gauges, bound where a string lookup would first create them
+  // (the first enqueue, the first frame that waits) so idle links add no
+  // registry keys.
+  telemetry::LazyGauge queue_depth_gauge_{"simnet.link.queue_depth"};
+  telemetry::LazyGauge queue_wait_gauge_{"simnet.link.queue_wait_ns"};
+  telemetry::LazyHistogram queue_wait_hist_{"simnet.link.queue_wait_hist_ns"};
 };
 
 /// First-class handle to one direction of one cable. This is the public

@@ -57,22 +57,22 @@ Registry::Registry() {
   watchdog_.bind(this);
 }
 
-u64 Registry::counter_value(const std::string& name) const {
+u64 Registry::counter_value(std::string_view name) const {
   auto it = counters_.find(name);
   return it == counters_.end() ? 0 : it->second.value();
 }
 
-const Gauge* Registry::find_gauge(const std::string& name) const {
+const Gauge* Registry::find_gauge(std::string_view name) const {
   auto it = gauges_.find(name);
   return it == gauges_.end() ? nullptr : &it->second;
 }
 
-const Histogram* Registry::find_histogram(const std::string& name) const {
+const Histogram* Registry::find_histogram(std::string_view name) const {
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-bool Registry::has(const std::string& name) const {
+bool Registry::has(std::string_view name) const {
   return counters_.contains(name) || gauges_.contains(name) ||
          histograms_.contains(name);
 }

@@ -18,6 +18,8 @@
 
 #include <map>
 #include <string>
+#include <string_view>
+#include <type_traits>
 
 #include "common/stats.hpp"
 #include "common/status.hpp"
@@ -125,21 +127,26 @@ class Registry {
 
   /// Find-or-create. Names are dotted `layer.component.metric` (DESIGN.md
   /// §Telemetry); returned references stay valid for the registry's life.
-  Counter& counter(const std::string& name) { return counters_[name]; }
-  Gauge& gauge(const std::string& name) { return gauges_[name]; }
-  Histogram& histogram(const std::string& name) { return histograms_[name]; }
+  /// A lookup builds a std::string only when it inserts a new key.
+  Counter& counter(std::string_view name) {
+    return find_or_add(counters_, name);
+  }
+  Gauge& gauge(std::string_view name) { return find_or_add(gauges_, name); }
+  Histogram& histogram(std::string_view name) {
+    return find_or_add(histograms_, name);
+  }
 
   /// Read-only lookup without creating (0 / nullptr when absent).
-  u64 counter_value(const std::string& name) const;
-  const Gauge* find_gauge(const std::string& name) const;
-  const Histogram* find_histogram(const std::string& name) const;
-  bool has(const std::string& name) const;
+  u64 counter_value(std::string_view name) const;
+  const Gauge* find_gauge(std::string_view name) const;
+  const Histogram* find_histogram(std::string_view name) const;
+  bool has(std::string_view name) const;
   /// Read-only iteration over the stored maps (flight recorder, tests).
-  const std::map<std::string, Counter>& counters() const { return counters_; }
-  const std::map<std::string, Gauge>& gauges() const { return gauges_; }
-  const std::map<std::string, Histogram>& histograms() const {
-    return histograms_;
-  }
+  template <typename T>
+  using Map = std::map<std::string, T, std::less<>>;
+  const Map<Counter>& counters() const { return counters_; }
+  const Map<Gauge>& gauges() const { return gauges_; }
+  const Map<Histogram>& histograms() const { return histograms_; }
   std::size_t size() const {
     return counters_.size() + gauges_.size() + histograms_.size();
   }
@@ -197,9 +204,17 @@ class Registry {
   Status write_json_file(const std::string& path) const;
 
  private:
-  std::map<std::string, Counter> counters_;
-  std::map<std::string, Gauge> gauges_;
-  std::map<std::string, Histogram> histograms_;
+  template <typename T>
+  static T& find_or_add(Map<T>& m, std::string_view name) {
+    auto it = m.lower_bound(name);
+    if (it == m.end() || it->first != name)
+      it = m.emplace_hint(it, std::string(name), T{});
+    return it->second;
+  }
+
+  Map<Counter> counters_;
+  Map<Gauge> gauges_;
+  Map<Histogram> histograms_;
   TraceRing trace_;
   SpanTracker spans_;
   CostProfiler profiler_;
@@ -208,5 +223,35 @@ class Registry {
   u64 next_frame_id_ = 1;
   TimeNs now_ = 0;
 };
+
+/// A gauge or histogram bound at its first use instead of looked up by
+/// name on every sample. The key is created exactly where a plain
+/// `reg.gauge(name)` call would have created it, so the registry's key set —
+/// and every metrics export — is unchanged; each later use is one pointer
+/// load. `name` must outlive the handle (a string literal in practice).
+template <typename T>
+class LazyMetric {
+ public:
+  explicit constexpr LazyMetric(const char* name) : name_(name) {}
+
+  T& get(Registry& reg) {
+    if (!bound_) {
+      if constexpr (std::is_same_v<T, Gauge>)
+        bound_ = &reg.gauge(name_);
+      else
+        bound_ = &reg.histogram(name_);
+    }
+    return *bound_;
+  }
+  /// The metric if some use has created it, else nullptr.
+  T* bound() const { return bound_; }
+
+ private:
+  const char* name_;
+  T* bound_ = nullptr;
+};
+
+using LazyGauge = LazyMetric<Gauge>;
+using LazyHistogram = LazyMetric<Histogram>;
 
 }  // namespace dgiwarp::telemetry

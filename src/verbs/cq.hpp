@@ -51,6 +51,7 @@ class CompletionQueue {
   std::function<void()> on_event_;
   telemetry::Metric completions_;
   telemetry::Metric overruns_;
+  telemetry::LazyHistogram depth_hist_{"verbs.cq.depth"};
 };
 
 }  // namespace dgiwarp::verbs

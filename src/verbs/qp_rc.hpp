@@ -132,6 +132,7 @@ class RcQueuePair final : public QueuePair,
   rdmap::WriteRecordLog wr_log_;
 
   RcQpStats stats_;
+  telemetry::LazyHistogram tx_latency_hist_{"verbs.wr.tx_latency_us"};
 };
 
 }  // namespace dgiwarp::verbs

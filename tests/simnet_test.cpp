@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <random>
+#include <string>
 #include <type_traits>
 #include <vector>
 
@@ -145,7 +146,7 @@ TEST(Simulation, StepDoesNotCopyCapturedPayload) {
 TEST(Simulation, FrameClosureFitsInline) {
   Simulation sim;
   sim::Frame frame;
-  frame.payload.assign(1500, 0x5A);
+  frame.payload = sim::Payload(1500, 0x5A);
   const u8* data = frame.payload.data();
   const u8* seen = nullptr;
   const u8** ptr = &seen;
@@ -268,6 +269,68 @@ TEST(Cpu, ChargeThenSchedulesAtCompletion) {
   EXPECT_EQ(fired_at, 300);
 }
 
+TEST(Payload, EmptyByDefault) {
+  const sim::Payload p;
+  EXPECT_TRUE(p.empty());
+  EXPECT_EQ(p.size(), 0u);
+  EXPECT_EQ(p.data(), nullptr);
+  EXPECT_TRUE(p.span().empty());
+  EXPECT_EQ(p.use_count(), 0u);
+  // An empty source allocates no block either.
+  const mem::AllocTally before = mem::snapshot();
+  const sim::Payload none(ConstByteSpan{});
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(mem::delta(before).count, 0u);
+}
+
+TEST(Payload, CopySharesTheBlock) {
+  const Bytes src = make_pattern(100, 7);
+  const sim::Payload a(ConstByteSpan{src});
+  ASSERT_EQ(a.size(), 100u);
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), src.begin(), src.end()));
+  EXPECT_NE(a.data(), src.data());  // built from a copy of the source
+
+  const mem::AllocTally before = mem::snapshot();
+  const sim::Payload b = a;
+  sim::Payload c;
+  c = b;
+  EXPECT_EQ(mem::delta(before).count, 0u);
+  EXPECT_EQ(b.data(), a.data());
+  EXPECT_EQ(c.data(), a.data());
+  EXPECT_EQ(c[42], src[42]);
+  EXPECT_EQ(a.use_count(), 3u);
+
+  sim::Payload moved = std::move(c);
+  EXPECT_TRUE(c.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(moved.data(), a.data());
+  EXPECT_EQ(a.use_count(), 3u);
+}
+
+TEST(Payload, LastOwnerFrees) {
+  // Lifetimes are checked for real under ASan (verify-asan): a premature
+  // free is a use-after-free below, a missed one a leak at exit.
+  auto first = std::make_unique<sim::Payload>(64, u8{0xC3});
+  sim::Payload second = *first;
+  EXPECT_EQ(second.use_count(), 2u);
+  first.reset();  // not the last owner: the bytes stay
+  EXPECT_EQ(second.use_count(), 1u);
+  EXPECT_EQ(second.size(), 64u);
+  EXPECT_EQ(second[63], 0xC3);
+  second = sim::Payload(8, 1);  // the last owner lets go of the old block
+  EXPECT_EQ(second.use_count(), 1u);
+  EXPECT_EQ(second.size(), 8u);
+}
+
+TEST(Payload, BuildWritesInPlace) {
+  const mem::AllocTally before = mem::snapshot();
+  const sim::Payload p = sim::Payload::build(4, [](ByteSpan out) {
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = static_cast<u8>(i);
+  });
+  EXPECT_EQ(mem::delta(before).count, 1u);  // one block, no staging buffer
+  ASSERT_EQ(p.size(), 4u);
+  EXPECT_EQ(p[3], 3);
+}
+
 TEST(Link, SerializationAndPropagationDelay) {
   sim::Simulation s;
   Rng rng(1);
@@ -278,7 +341,7 @@ TEST(Link, SerializationAndPropagationDelay) {
   TimeNs arrival = -1;
   link.set_receiver([&](sim::Frame) { arrival = s.now(); });
   sim::Frame f;
-  f.payload.assign(962, 0);  // 962 + 38 overhead = 1000 wire bytes
+  f.payload = sim::Payload(962, 0);  // + 38 B overhead = 1000 wire bytes
   link.transmit(std::move(f));
   s.run();
   EXPECT_EQ(arrival, 8000 + 1000);
@@ -295,7 +358,7 @@ TEST(Link, BackToBackFramesQueue) {
   link.set_receiver([&](sim::Frame) { arrivals.push_back(s.now()); });
   for (int i = 0; i < 3; ++i) {
     sim::Frame f;
-    f.payload.assign(962, 0);
+    f.payload = sim::Payload(962, 0);
     link.transmit(std::move(f));
   }
   s.run();
@@ -474,7 +537,7 @@ TEST(Link, CorruptionMarksFrameAndCountsAndTraces) {
   for (u64 i = 1; i <= 3; ++i) {
     sim::Frame fr;
     fr.id = i;
-    fr.payload.assign(32, 0x55);
+    fr.payload = sim::Payload(32, 0x55);
     link.transmit(std::move(fr));
   }
   s.run();
@@ -509,13 +572,126 @@ TEST(Link, DuplicationFaultDeliversASecondCopy) {
   std::vector<TimeNs> arrivals;
   link.set_receiver([&](sim::Frame) { arrivals.push_back(s.now()); });
   sim::Frame fr;
-  fr.payload.assign(962, 0);  // 1000 wire bytes -> 8000 ns serialization
+  fr.payload = sim::Payload(962, 0);  // 1000 wire bytes -> 8000 ns on the wire
   link.transmit(std::move(fr));
   s.run();
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[1] - arrivals[0], 100);  // the copy lags by dup_delay
   EXPECT_EQ(link.stats().frames_duplicated, 1u);
   EXPECT_EQ(link.stats().frames_delivered, 2u);
+}
+
+TEST(Link, DuplicateSharesPayload) {
+  sim::Simulation s;
+  Rng rng(1);
+  sim::Link link(s, rng, sim::LinkParams{}, "l");
+  sim::Faults f;
+  f.dup_rate = 1.0;
+  f.dup_delay = 100;
+  link.set_faults(std::move(f));
+  std::vector<sim::Frame> rx;
+  link.set_receiver([&](sim::Frame fr) { rx.push_back(std::move(fr)); });
+  sim::Frame fr;
+  fr.payload = sim::Payload(962, 0x11);
+  const u8* data = fr.payload.data();
+  link.transmit(std::move(fr));
+  s.run();
+  ASSERT_EQ(rx.size(), 2u);
+  EXPECT_EQ(rx[0].payload.data(), data);  // both copies ride one buffer
+  EXPECT_EQ(rx[1].payload.data(), data);
+  EXPECT_EQ(rx[0].payload.use_count(), 2u);
+}
+
+TEST(Link, IdleLinkCreatesNoQueueKeys) {
+  sim::Topology topo;
+  topo.add_host("a");
+  topo.add_host("b");
+  topo.sim().run();
+  // Reading the depth of a link that never carried a frame must not
+  // materialize the gauge either.
+  EXPECT_EQ(topo.host_uplink(0).queue_depth(), 0u);
+  EXPECT_EQ(topo.host_downlink(1).queue_depth(), 0u);
+  for (const auto& [name, g] : topo.sim().telemetry().gauges())
+    EXPECT_NE(name.rfind("simnet.link.queue_", 0), 0u) << name;
+  for (const auto& [name, h] : topo.sim().telemetry().histograms())
+    EXPECT_NE(name.rfind("simnet.link.queue_", 0), 0u) << name;
+}
+
+/// A frame from host 0 to an address no switch has learned, so the leaf
+/// floods it to every other host port.
+sim::Frame unknown_destination_frame(sim::Topology& topo, ConstByteSpan body) {
+  sim::Frame f;
+  f.src = topo.addr(0);
+  f.dst = 0x0A0000FE;  // nobody's address
+  f.proto = sim::kProtoIpv4;
+  f.id = 1;
+  f.payload = sim::Payload(body);
+  return f;
+}
+
+TEST(Switch, FloodSharesOnePayload) {
+  sim::Topology topo;
+  constexpr std::size_t kHosts = 5;  // a flood fans out to 4 host ports
+  for (std::size_t i = 0; i < kHosts; ++i)
+    topo.add_host("h" + std::to_string(i));
+  std::vector<sim::Frame> rx;
+  rx.reserve(kHosts);
+  for (std::size_t i = 1; i < kHosts; ++i)
+    topo.host_downlink(i).get()->set_receiver(
+        [&rx](sim::Frame fr) { rx.push_back(std::move(fr)); });
+
+  const Bytes body = make_pattern(1400, 3);
+  sim::Frame f = unknown_destination_frame(topo, ConstByteSpan{body});
+  const u8* data = f.payload.data();
+  const mem::AllocTally before = mem::snapshot();
+  topo.host_uplink(0).get()->transmit(std::move(f));
+  topo.sim().run();
+  EXPECT_EQ(mem::delta(before).count, 0u);  // no per-port payload copy
+
+  EXPECT_EQ(topo.leaf(0).frames_flooded(), 1u);
+  ASSERT_EQ(rx.size(), kHosts - 1);
+  for (const sim::Frame& got : rx) {
+    EXPECT_EQ(got.payload.data(), data);
+    EXPECT_TRUE(std::equal(got.payload.begin(), got.payload.end(),
+                           body.begin(), body.end()));
+  }
+}
+
+TEST(Link, CorruptionCopiesOnWrite) {
+  sim::Topology topo;
+  for (const char* name : {"a", "b", "c"}) topo.add_host(name);
+  // Damage the first frame on b's downlink only; c's copy of the same
+  // flood must come through untouched.
+  topo.host_downlink(1).set_faults(
+      sim::Faults::targeted_corruption({{1, 3, 0x80}}));
+  std::vector<sim::Frame> at_b, at_c;
+  topo.host_downlink(1).get()->set_receiver(
+      [&](sim::Frame fr) { at_b.push_back(std::move(fr)); });
+  topo.host_downlink(2).get()->set_receiver(
+      [&](sim::Frame fr) { at_c.push_back(std::move(fr)); });
+
+  const Bytes body = make_pattern(256, 9);
+  sim::Frame f = unknown_destination_frame(topo, ConstByteSpan{body});
+  const u8* data = f.payload.data();
+  topo.host_uplink(0).get()->transmit(std::move(f));
+  topo.sim().run();
+
+  ASSERT_EQ(at_b.size(), 1u);
+  ASSERT_EQ(at_c.size(), 1u);
+  const sim::Frame& hit = at_b[0];
+  const sim::Frame& spared = at_c[0];
+  EXPECT_TRUE(hit.corrupted);
+  EXPECT_NE(hit.payload.data(), data);  // damage went to a private copy
+  ASSERT_EQ(hit.payload.size(), body.size());
+  EXPECT_EQ(hit.payload[3], body[3] ^ 0x80);
+  EXPECT_TRUE(std::equal(hit.payload.begin() + 4, hit.payload.end(),
+                         body.begin() + 4, body.end()));
+  EXPECT_FALSE(spared.corrupted);
+  EXPECT_EQ(spared.payload.data(), data);
+  EXPECT_TRUE(std::equal(spared.payload.begin(), spared.payload.end(),
+                         body.begin(), body.end()));
+  EXPECT_EQ(topo.host_downlink(1).stats().frames_corrupted.value(), 1u);
+  EXPECT_EQ(topo.host_downlink(2).stats().frames_corrupted.value(), 0u);
 }
 
 TEST(Switch, LearnsAndForwards) {

@@ -302,7 +302,8 @@ TEST(WireFuzz, HostStackSurvivesMutatedFrames) {
     f.dst = h.addr();
     f.proto = sim::kProtoIpv4;
     f.id = frame_id++;
-    f.payload = m.mutate(ConstByteSpan{base}, ConstByteSpan{other});
+    f.payload =
+        sim::Payload(m.mutate(ConstByteSpan{base}, ConstByteSpan{other}));
     h.ip().on_frame(std::move(f));
     if ((i & 63) == 63) topo.sim().run();
   }
@@ -316,7 +317,7 @@ TEST(WireFuzz, HostStackSurvivesMutatedFrames) {
   ok.dst = h.addr();
   ok.proto = sim::kProtoIpv4;
   ok.id = frame_id++;
-  ok.payload = base_udp;
+  ok.payload = sim::Payload(ConstByteSpan{base_udp});
   h.ip().on_frame(std::move(ok));
   topo.sim().run();
   EXPECT_EQ(udp_rx, before + 64);
