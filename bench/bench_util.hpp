@@ -11,6 +11,7 @@
 #include "common/types.hpp"
 #include "perf/harness.hpp"
 #include "telemetry/flight.hpp"
+#include "telemetry/json_lite.hpp"
 #include "telemetry/registry.hpp"
 #include "telemetry/series.hpp"
 #include "telemetry/trace_export.hpp"
@@ -72,21 +73,14 @@ inline std::string suffixed_path(const std::string& path,
   return path.substr(0, dot) + "." + suffix + path.substr(dot);
 }
 
-/// Write `body` to `path`; prints the outcome like dump_metrics.
+/// Write `body` to `path`; prints a failure to stderr like dump_metrics.
 inline bool write_text_file(const std::string& path, const std::string& body,
                             const char* what) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "failed to write %s to %s\n", what, path.c_str());
-    return false;
-  }
-  const std::size_t n = std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  if (n != body.size()) {
-    std::fprintf(stderr, "short write of %s to %s\n", what, path.c_str());
-    return false;
-  }
-  return true;
+  const Status st = telemetry::write_file(path, body);
+  if (!st.ok())
+    std::fprintf(stderr, "failed to write %s: %s\n", what,
+                 st.to_string().c_str());
+  return st.ok();
 }
 
 /// Validate + write a timeseries document; exits 1 on schema violation —
@@ -104,23 +98,6 @@ inline void dump_timeseries(const std::string& doc, const std::string& path) {
     std::printf("\ntimeseries written to %s (schema-valid)\n", path.c_str());
 }
 
-/// Parse `--metrics-json <path>` from argv. Returns the path ("" if the
-/// flag is absent). Every figure bench accepts the flag; the aggregate
-/// registry collecting all measurement runs is dumped there on exit.
-inline std::string metrics_json_path(int argc, char** argv) {
-  return arg_path(argc, argv, "--metrics-json");
-}
-
-/// `--trace-json <path>`: Chrome trace_event / Perfetto span export.
-inline std::string trace_json_path(int argc, char** argv) {
-  return arg_path(argc, argv, "--trace-json");
-}
-
-/// `--profile-json <path>`: cost-profiler buckets + span phase totals.
-inline std::string profile_json_path(int argc, char** argv) {
-  return arg_path(argc, argv, "--profile-json");
-}
-
 /// Write the capture's trace / profile documents to any requested paths.
 /// The trace is validated against the trace_event schema first and the
 /// process aborts on a violation — an exported-but-broken trace is a bug,
@@ -129,20 +106,16 @@ inline void dump_capture(const telemetry::TraceCapture& cap,
                          const std::string& trace_path,
                          const std::string& profile_path) {
   if (!trace_path.empty()) {
-    if (Status v = telemetry::validate_trace_event_json(
-            cap.trace_event_json());
-        !v.ok()) {
+    const std::string trace = cap.trace_event_json();  // rendered once
+    if (Status v = telemetry::validate_trace_event_json(trace); !v.ok()) {
       std::fprintf(stderr, "trace export failed schema validation: %s\n",
                    v.to_string().c_str());
       std::exit(1);
     }
-    if (cap.write_trace(trace_path).ok())
+    if (write_text_file(trace_path, trace, "trace"))
       std::printf("\ntrace written to %s (%zu spans, %zu runs, "
                   "schema-valid)\n",
                   trace_path.c_str(), cap.spans().size(), cap.runs());
-    else
-      std::fprintf(stderr, "failed to write trace to %s\n",
-                   trace_path.c_str());
   }
   if (!profile_path.empty()) {
     if (cap.write_profile(profile_path).ok())

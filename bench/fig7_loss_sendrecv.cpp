@@ -12,7 +12,7 @@ int main(int argc, char** argv) {
   bench::banner("Figure 7 — UD send/recv bandwidth under packet loss",
                 "multi-packet messages collapse under loss (all-or-nothing "
                 "delivery); 5% loss breaks everything above the wire MTU");
-  const std::string metrics_path = bench::metrics_json_path(argc, argv);
+  const bench::BenchArgs args = bench::BenchArgs::parse(argc, argv);
   telemetry::Registry metrics;
 
   const double rates[] = {0.001, 0.005, 0.01, 0.05};
@@ -41,6 +41,6 @@ int main(int argc, char** argv) {
   t.print();
   std::printf("\ndelivered fraction (complete messages only):\n");
   d.print();
-  bench::dump_metrics(metrics, metrics_path);
+  bench::dump_metrics(metrics, args.metrics_json);
   return 0;
 }

@@ -1,6 +1,5 @@
 #include "telemetry/flight.hpp"
 
-#include <cstdio>
 #include <vector>
 
 #include "telemetry/json_lite.hpp"
@@ -8,42 +7,8 @@
 
 namespace dgiwarp::telemetry {
 
-namespace {
-
-void append_u64(std::string& out, u64 v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
-
-std::string flight_recorder_json(const Registry& reg, std::string_view reason,
-                                 const FlightOptions& opts) {
+std::string flight_recorder_json(const Registry& reg,
+                                 std::string_view reason) {
   std::string out;
   out.reserve(8192);
   out += "{\n  \"schema\": \"";
@@ -64,12 +29,11 @@ std::string flight_recorder_json(const Registry& reg, std::string_view reason,
   out += wd.trips_json();
   out += "}";
 
-  // Newest `max_trace_events` trace-ring events.
+  // Newest kFlightTraceEvents trace-ring events.
   const std::vector<TraceEvent> events = reg.trace().snapshot();
-  const std::size_t skip =
-      events.size() > opts.max_trace_events
-          ? events.size() - opts.max_trace_events
-          : 0;
+  const std::size_t skip = events.size() > kFlightTraceEvents
+                               ? events.size() - kFlightTraceEvents
+                               : 0;
   out += ",\n  \"trace\": {\"recorded\": ";
   append_u64(out, reg.trace().recorded());
   out += ", \"tail\": [";
@@ -100,8 +64,9 @@ std::string flight_recorder_json(const Registry& reg, std::string_view reason,
     append_escaped(out, name);
     out += "\": [";
     const std::vector<SeriesPoint> pts = ts.snapshot();
-    const std::size_t pskip =
-        pts.size() > opts.max_points ? pts.size() - opts.max_points : 0;
+    const std::size_t pskip = pts.size() > kFlightSeriesPoints
+                                  ? pts.size() - kFlightSeriesPoints
+                                  : 0;
     bool pfirst = true;
     for (std::size_t i = pskip; i < pts.size(); ++i) {
       out += pfirst ? "[" : ",[";
@@ -149,178 +114,85 @@ std::string flight_recorder_json(const Registry& reg, std::string_view reason,
   return out;
 }
 
-Status write_flight_recorder(const Registry& reg, std::string_view reason,
-                             const std::string& path,
-                             const FlightOptions& opts) {
-  const std::string json = flight_recorder_json(reg, reason, opts);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return Status(Errc::kNotFound, "cannot open " + path);
-  const std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (n != json.size())
-    return Status(Errc::kResourceExhausted, "short write to " + path);
-  return Status::Ok();
-}
-
-namespace {
-
-Status invalid(const JsonParser& p, const std::string& what) {
-  return Status(Errc::kInvalidArgument,
-                "flight: " + what + (p.err.empty() ? "" : ": " + p.err));
-}
-
-bool parse_trips(JsonParser& p, std::string* why) {
-  if (!p.expect('[')) return false;
-  if (!p.peek_is(']')) {
-    while (true) {
-      if (!p.expect('{')) return false;
+Status validate_flight_recorder_json(std::string_view json) {
+  JsonParser p{json};
+  auto trips = [&p] {
+    return array(p, [&] {
       bool saw_rule = false;
-      if (!p.peek_is('}')) {
-        while (true) {
-          std::string key;
-          if (!p.parse_string(&key) || !p.expect(':')) return false;
-          if (key == "rule") {
-            if (!p.parse_string(nullptr)) return false;
-            saw_rule = true;
-          } else {
-            if (!p.skip_value()) return false;
-          }
-          if (p.peek_is(',')) { ++p.i; continue; }
-          break;
-        }
-      }
-      if (!p.expect('}')) return false;
-      if (!saw_rule) { *why = "trip missing rule"; return false; }
-      if (p.peek_is(',')) { ++p.i; continue; }
-      break;
-    }
-  }
-  return p.expect(']');
-}
-
-bool parse_trace_tail(JsonParser& p, std::string* why) {
-  if (!p.expect('[')) return false;
-  double prev_t = -1.0;
-  if (!p.peek_is(']')) {
-    while (true) {
-      if (!p.expect('{')) return false;
+      return object(p, [&](const std::string& key) {
+               if (key != "rule") return p.skip_value();
+               saw_rule = true;
+               return p.parse_string(nullptr);
+             }) &&
+             p.require(saw_rule, "trip missing rule");
+    });
+  };
+  auto tail = [&p] {
+    double prev_t = -1.0;
+    return array(p, [&] {
       bool saw_t = false, saw_kind = false;
       double t = 0.0;
-      if (!p.peek_is('}')) {
-        while (true) {
-          std::string key;
-          if (!p.parse_string(&key) || !p.expect(':')) return false;
-          if (key == "t") {
-            if (!p.parse_number(&t)) return false;
-            saw_t = true;
-          } else if (key == "kind") {
-            if (!p.parse_string(nullptr)) return false;
-            saw_kind = true;
-          } else {
-            if (!p.skip_value()) return false;
-          }
-          if (p.peek_is(',')) { ++p.i; continue; }
-          break;
-        }
-      }
-      if (!p.expect('}')) return false;
-      if (!saw_t || !saw_kind) { *why = "trace event missing t/kind"; return false; }
-      if (t < prev_t) { *why = "trace tail not time-ordered"; return false; }
+      if (!object(p, [&](const std::string& key) {
+            if (key == "t") {
+              saw_t = true;
+              return p.parse_number(&t);
+            }
+            if (key == "kind") {
+              saw_kind = true;
+              return p.parse_string(nullptr);
+            }
+            return p.skip_value();
+          }))
+        return false;
+      if (!saw_t || !saw_kind) return p.fail("trace event missing t/kind");
+      if (t < prev_t) return p.fail("trace tail not time-ordered");
       prev_t = t;
-      if (p.peek_is(',')) { ++p.i; continue; }
-      break;
-    }
-  }
-  return p.expect(']');
-}
+      return true;
+    });
+  };
+  // An object whose member `key` must be present and pass `check`.
+  auto holding = [&p](const char* key, auto check, const char* missing) {
+    bool saw = false;
+    return object(p, [&](const std::string& k) {
+             if (k != key) return p.skip_value();
+             saw = true;
+             return check();
+           }) &&
+           p.require(saw, missing);
+  };
 
-}  // namespace
-
-Status validate_flight_recorder_json(std::string_view json) {
-  JsonParser p{json, 0, {}};
-  std::string why;
   bool saw_schema = false, saw_reason = false, saw_watchdog = false,
        saw_trace = false, saw_counters = false;
-
-  if (!p.expect('{')) return invalid(p, "not an object");
-  if (!p.peek_is('}')) {
-    while (true) {
-      std::string key;
-      if (!p.parse_string(&key) || !p.expect(':')) return invalid(p, "bad key");
-      if (key == "schema") {
-        std::string schema;
-        if (!p.parse_string(&schema)) return invalid(p, "bad schema");
-        if (schema != kFlightSchema)
-          return invalid(p, "wrong schema '" + schema + "'");
-        saw_schema = true;
-      } else if (key == "reason") {
-        std::string reason;
-        if (!p.parse_string(&reason)) return invalid(p, "bad reason");
-        if (reason.empty()) return invalid(p, "empty reason");
-        saw_reason = true;
-      } else if (key == "watchdog") {
-        if (!p.expect('{')) return invalid(p, "watchdog not an object");
-        bool saw_trips = false;
-        if (!p.peek_is('}')) {
-          while (true) {
-            std::string wkey;
-            if (!p.parse_string(&wkey) || !p.expect(':'))
-              return invalid(p, "bad watchdog key");
-            if (wkey == "trips") {
-              if (!parse_trips(p, &why))
-                return invalid(p, why.empty() ? "malformed trips" : why);
-              saw_trips = true;
-            } else {
-              if (!p.skip_value()) return invalid(p, "bad watchdog value");
-            }
-            if (p.peek_is(',')) { ++p.i; continue; }
-            break;
-          }
-        }
-        if (!p.expect('}')) return invalid(p, "unterminated watchdog");
-        if (!saw_trips) return invalid(p, "watchdog missing trips");
-        saw_watchdog = true;
-      } else if (key == "trace") {
-        if (!p.expect('{')) return invalid(p, "trace not an object");
-        bool saw_tail = false;
-        if (!p.peek_is('}')) {
-          while (true) {
-            std::string tkey;
-            if (!p.parse_string(&tkey) || !p.expect(':'))
-              return invalid(p, "bad trace key");
-            if (tkey == "tail") {
-              if (!parse_trace_tail(p, &why))
-                return invalid(p, why.empty() ? "malformed trace tail" : why);
-              saw_tail = true;
-            } else {
-              if (!p.skip_value()) return invalid(p, "bad trace value");
-            }
-            if (p.peek_is(',')) { ++p.i; continue; }
-            break;
-          }
-        }
-        if (!p.expect('}')) return invalid(p, "unterminated trace");
-        if (!saw_tail) return invalid(p, "trace missing tail");
-        saw_trace = true;
-      } else if (key == "counters") {
-        if (!p.skip_value()) return invalid(p, "bad counters");
-        saw_counters = true;
-      } else {
-        if (!p.skip_value()) return invalid(p, "bad value");
-      }
-      if (p.peek_is(',')) { ++p.i; continue; }
-      break;
-    }
-  }
-  if (!p.expect('}')) return invalid(p, "unterminated document");
-  p.ws();
-  if (p.i != json.size()) return invalid(p, "trailing garbage");
-  if (!saw_schema) return invalid(p, "missing schema");
-  if (!saw_reason) return invalid(p, "missing reason");
-  if (!saw_watchdog) return invalid(p, "missing watchdog");
-  if (!saw_trace) return invalid(p, "missing trace");
-  if (!saw_counters) return invalid(p, "missing counters");
-  return Status::Ok();
+  const bool ok =
+      object(p,
+             [&](const std::string& key) {
+               if (key == "schema") {
+                 saw_schema = true;
+                 return p.schema(kFlightSchema);
+               }
+               if (key == "reason") {
+                 std::string reason;
+                 saw_reason = true;
+                 return p.parse_string(&reason) &&
+                        p.require(!reason.empty(), "empty reason");
+               }
+               if (key == "watchdog") {
+                 saw_watchdog = true;
+                 return holding("trips", trips, "watchdog missing trips");
+               }
+               if (key == "trace") {
+                 saw_trace = true;
+                 return holding("tail", tail, "trace missing tail");
+               }
+               if (key == "counters") saw_counters = true;
+               return p.skip_value();
+             }) &&
+      p.at_end() && p.require(saw_schema, "missing schema") &&
+      p.require(saw_reason, "missing reason") &&
+      p.require(saw_watchdog, "missing watchdog") &&
+      p.require(saw_trace, "missing trace") &&
+      p.require(saw_counters, "missing counters");
+  return p.verdict(ok, "flight");
 }
 
 }  // namespace dgiwarp::telemetry

@@ -24,17 +24,12 @@ class Registry;
 
 inline constexpr const char* kFlightSchema = "dgiwarp.flight.v1";
 
-struct FlightOptions {
-  std::size_t max_trace_events = 256;  // newest trace-ring events kept
-  std::size_t max_points = 64;         // newest points kept per series
-};
+/// The dump keeps the newest kFlightTraceEvents trace-ring events and the
+/// newest kFlightSeriesPoints points of every sampled series.
+inline constexpr std::size_t kFlightTraceEvents = 256;
+inline constexpr std::size_t kFlightSeriesPoints = 64;
 
-std::string flight_recorder_json(const Registry& reg, std::string_view reason,
-                                 const FlightOptions& opts = {});
-
-Status write_flight_recorder(const Registry& reg, std::string_view reason,
-                             const std::string& path,
-                             const FlightOptions& opts = {});
+std::string flight_recorder_json(const Registry& reg, std::string_view reason);
 
 /// Structural validation: schema tag, reason, watchdog block with a trips
 /// array, trace tail with non-decreasing timestamps, counters object.

@@ -1,7 +1,6 @@
 #include "telemetry/health.hpp"
 
-#include <cstdio>
-
+#include "telemetry/json_lite.hpp"
 #include "telemetry/registry.hpp"
 
 namespace dgiwarp::telemetry {
@@ -192,20 +191,13 @@ std::string Watchdog::trips_json() const {
     out += first ? "\n    " : ",\n    ";
     first = false;
     out += "{\"t\": ";
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%llu",
-                  static_cast<unsigned long long>(tr.t));
-    out += buf;
+    append_u64(out, static_cast<u64>(tr.t));
     out += ", \"rule\": \"";
     out += watchdog_rule_name(tr.rule);
     out += "\", \"target\": \"";
-    for (char c : tr.target) {
-      if (c == '"' || c == '\\') out += '\\';
-      out += c;
-    }
+    append_escaped(out, tr.target);
     out += "\", \"value\": ";
-    std::snprintf(buf, sizeof buf, "%.17g", tr.value);
-    out += buf;
+    append_double(out, tr.value);
     out += '}';
   }
   out += first ? "]" : "\n  ]";

@@ -1,46 +1,9 @@
 #include "telemetry/series.hpp"
 
-#include <cstdio>
-
 #include "telemetry/json_lite.hpp"
 #include "telemetry/registry.hpp"
 
 namespace dgiwarp::telemetry {
-
-namespace {
-
-void append_u64(std::string& out, u64 v) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-// Same deterministic formatting as registry.cpp: %.17g round-trips exactly.
-void append_double(std::string& out, double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
-}
-
-void append_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 void TimeSeries::push(TimeNs t, double v) {
   if (ring_.size() < cap_) {
@@ -193,10 +156,6 @@ std::string Sampler::run_json() const {
   return out;
 }
 
-std::string Sampler::to_json() const {
-  return timeseries_document({{"run", run_json()}});
-}
-
 std::string timeseries_document(
     const std::vector<std::pair<std::string, std::string>>& runs) {
   std::string out = "{\n  \"schema\": \"";
@@ -216,167 +175,84 @@ std::string timeseries_document(
   return out;
 }
 
-Status Sampler::write_json_file(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) return Status(Errc::kNotFound, "cannot open " + path);
-  const std::string json = to_json();
-  const std::size_t n = std::fwrite(json.data(), 1, json.size(), f);
-  std::fclose(f);
-  if (n != json.size())
-    return Status(Errc::kResourceExhausted, "short write to " + path);
-  return Status::Ok();
-}
-
 // ---------------------------------------------------------------------------
-// Schema validation.
-
-namespace {
-
-Status invalid(const JsonParser& p, const std::string& what) {
-  return Status(Errc::kInvalidArgument,
-                "timeseries: " + what + (p.err.empty() ? "" : ": " + p.err));
-}
-
-bool parse_points(JsonParser& p, std::string* why) {
-  if (!p.expect('[')) return false;
-  double prev_t = -1.0;
-  if (!p.peek_is(']')) {
-    while (true) {
-      double t = 0.0, v = 0.0;
-      if (!p.expect('[') || !p.parse_number(&t) || !p.expect(',') ||
-          !p.parse_number(&v) || !p.expect(']'))
-        return false;
-      if (t <= prev_t) {
-        *why = "point timestamps not strictly increasing";
-        return false;
-      }
-      prev_t = t;
-      if (p.peek_is(',')) { ++p.i; continue; }
-      break;
-    }
-  }
-  return p.expect(']');
-}
-
-bool parse_series_entry(JsonParser& p, std::string* why) {
-  if (!p.expect('{')) return false;
-  bool saw_kind = false, saw_points = false;
-  if (!p.peek_is('}')) {
-    while (true) {
-      std::string key;
-      if (!p.parse_string(&key) || !p.expect(':')) return false;
-      if (key == "kind") {
-        std::string kind;
-        if (!p.parse_string(&kind)) return false;
-        if (kind != "probe" && kind != "counter" && kind != "gauge" &&
-            kind != "rate") {
-          *why = "unknown series kind '" + kind + "'";
-          return false;
-        }
-        saw_kind = true;
-      } else if (key == "points") {
-        if (!parse_points(p, why)) return false;
-        saw_points = true;
-      } else if (key == "recorded" || key == "dropped") {
-        double v = 0.0;
-        if (!p.parse_number(&v)) return false;
-      } else {
-        if (!p.skip_value()) return false;
-      }
-      if (p.peek_is(',')) { ++p.i; continue; }
-      break;
-    }
-  }
-  if (!p.expect('}')) return false;
-  if (!saw_kind) { *why = "series missing kind"; return false; }
-  if (!saw_points) { *why = "series missing points"; return false; }
-  return true;
-}
-
-bool parse_run(JsonParser& p, std::string* why) {
-  if (!p.expect('{')) return false;
-  bool saw_interval = false, saw_series = false;
-  if (!p.peek_is('}')) {
-    while (true) {
-      std::string key;
-      if (!p.parse_string(&key) || !p.expect(':')) return false;
-      if (key == "interval_ns") {
-        double v = 0.0;
-        if (!p.parse_number(&v)) return false;
-        if (v <= 0.0) { *why = "interval_ns must be positive"; return false; }
-        saw_interval = true;
-      } else if (key == "series") {
-        if (!p.expect('{')) return false;
-        if (!p.peek_is('}')) {
-          while (true) {
-            if (!p.parse_string(nullptr) || !p.expect(':') ||
-                !parse_series_entry(p, why))
-              return false;
-            if (p.peek_is(',')) { ++p.i; continue; }
-            break;
-          }
-        }
-        if (!p.expect('}')) return false;
-        saw_series = true;
-      } else {
-        if (!p.skip_value()) return false;
-      }
-      if (p.peek_is(',')) { ++p.i; continue; }
-      break;
-    }
-  }
-  if (!p.expect('}')) return false;
-  if (!saw_interval) { *why = "run missing interval_ns"; return false; }
-  if (!saw_series) { *why = "run missing series"; return false; }
-  return true;
-}
-
-}  // namespace
+// Schema validation, streamed: each rule is checked as its value is parsed.
 
 Status validate_timeseries_json(std::string_view json) {
-  JsonParser p{json, 0, {}};
-  std::string why;
-  bool saw_schema = false, saw_runs = false;
+  JsonParser p{json};
+  auto points = [&p] {
+    double prev_t = -1.0;
+    return array(p, [&] {
+      double t = 0.0;
+      if (!p.expect('[') || !p.parse_number(&t) || !p.expect(',') ||
+          !p.parse_number(nullptr) || !p.expect(']'))
+        return false;
+      if (t <= prev_t)
+        return p.fail("point timestamps not strictly increasing");
+      prev_t = t;
+      return true;
+    });
+  };
+  auto series_entry = [&] {
+    bool saw_kind = false, saw_points = false;
+    return object(p, [&](const std::string& key) {
+             if (key == "kind") {
+               std::string kind;
+               saw_kind = true;
+               return p.parse_string(&kind) &&
+                      (kind == "probe" || kind == "counter" ||
+                       kind == "gauge" || kind == "rate" ||
+                       p.fail("unknown series kind '" + kind + "'"));
+             }
+             if (key == "points") {
+               saw_points = true;
+               return points();
+             }
+             if (key == "recorded" || key == "dropped")
+               return p.parse_number(nullptr);
+             return p.skip_value();
+           }) &&
+           p.require(saw_kind, "series missing kind") &&
+           p.require(saw_points, "series missing points");
+  };
+  auto run = [&] {
+    bool saw_interval = false, saw_series = false;
+    return object(p, [&](const std::string& key) {
+             if (key == "interval_ns") {
+               double v = 0.0;
+               saw_interval = true;
+               return p.parse_number(&v) &&
+                      p.require(v > 0.0, "interval_ns must be positive");
+             }
+             if (key == "series") {
+               saw_series = true;
+               return object(p, [&](const std::string&) {
+                 return series_entry();
+               });
+             }
+             return p.skip_value();
+           }) &&
+           p.require(saw_interval, "run missing interval_ns") &&
+           p.require(saw_series, "run missing series");
+  };
 
-  if (!p.expect('{')) return invalid(p, "not an object");
-  if (!p.peek_is('}')) {
-    while (true) {
-      std::string key;
-      if (!p.parse_string(&key) || !p.expect(':'))
-        return invalid(p, "bad key");
-      if (key == "schema") {
-        std::string schema;
-        if (!p.parse_string(&schema)) return invalid(p, "bad schema");
-        if (schema != kTimeseriesSchema)
-          return invalid(p, "wrong schema '" + schema + "'");
-        saw_schema = true;
-      } else if (key == "runs") {
-        if (!p.expect('{')) return invalid(p, "runs not an object");
-        if (!p.peek_is('}')) {
-          while (true) {
-            if (!p.parse_string(nullptr) || !p.expect(':'))
-              return invalid(p, "bad run name");
-            if (!parse_run(p, &why))
-              return invalid(p, why.empty() ? "malformed run" : why);
-            if (p.peek_is(',')) { ++p.i; continue; }
-            break;
-          }
-        }
-        if (!p.expect('}')) return invalid(p, "unterminated runs");
-        saw_runs = true;
-      } else {
-        if (!p.skip_value()) return invalid(p, "bad value");
-      }
-      if (p.peek_is(',')) { ++p.i; continue; }
-      break;
-    }
-  }
-  if (!p.expect('}')) return invalid(p, "unterminated document");
-  p.ws();
-  if (p.i != json.size()) return invalid(p, "trailing garbage");
-  if (!saw_schema) return invalid(p, "missing schema");
-  if (!saw_runs) return invalid(p, "missing runs");
-  return Status::Ok();
+  bool saw_schema = false, saw_runs = false;
+  const bool ok =
+      object(p,
+             [&](const std::string& key) {
+               if (key == "schema") {
+                 saw_schema = true;
+                 return p.schema(kTimeseriesSchema);
+               }
+               if (key == "runs") {
+                 saw_runs = true;
+                 return object(p, [&](const std::string&) { return run(); });
+               }
+               return p.skip_value();
+             }) &&
+      p.at_end() && p.require(saw_schema, "missing schema") &&
+      p.require(saw_runs, "missing runs");
+  return p.verdict(ok, "timeseries");
 }
 
 }  // namespace dgiwarp::telemetry

@@ -120,10 +120,8 @@ class Sampler {
 
   /// One run's fragment: {"interval_ns":..,"samples":..,"series":{..}}.
   /// Deterministic: map-ordered keys, u64 timestamps, %.17g values.
+  /// timeseries_document() wraps fragments into the schema document.
   std::string run_json() const;
-  /// Complete schema document with this sampler as the single run "run".
-  std::string to_json() const;
-  Status write_json_file(const std::string& path) const;
 
  private:
   friend class Registry;

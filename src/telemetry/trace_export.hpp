@@ -68,8 +68,8 @@ class TraceCapture {
   std::size_t runs_ = 0;
 };
 
-/// Minimal trace_event schema check (no external JSON dependency — the
-/// parser lives in trace_export.cpp): the document must be an object with
+/// Minimal trace_event schema check, streamed over json_lite's reader so a
+/// large trace is checked in one pass: the document must be an object with
 /// a "traceEvents" array of objects; every event needs ph/ts/pid/tid;
 /// ts must be non-decreasing in document order; every "B" must be closed
 /// by a matching-name "E" on the same (pid, tid) with no track left open.

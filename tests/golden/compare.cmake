@@ -1,14 +1,19 @@
 # Golden-output check: run a command and compare what it produced, byte for
 # byte, with a checked-in golden file.
 #
-#   cmake -DGOLDEN=<file> [-DOUTPUT=<file>] -P compare.cmake -- <cmd> [args...]
+#   cmake -DGOLDEN=<file> [-DOUTPUT=<file>] [-DEXPECT_RC=<n>]
+#         -P compare.cmake -- <cmd> [args...]
 #
 # Without OUTPUT the command's stdout is compared; with it, the file the
 # command writes there (OUTPUT is deleted first, so a stale copy never
-# passes). On a mismatch the first differing line of both is printed.
+# passes). The command must exit with EXPECT_RC (default 0). On a mismatch
+# the first differing line of both is printed.
 
 if(NOT GOLDEN)
   message(FATAL_ERROR "compare.cmake: pass -DGOLDEN=<file>")
+endif()
+if(NOT DEFINED EXPECT_RC)
+  set(EXPECT_RC 0)
 endif()
 
 set(cmd)
@@ -29,8 +34,9 @@ if(OUTPUT)
   file(REMOVE "${OUTPUT}")
 endif()
 execute_process(COMMAND ${cmd} OUTPUT_VARIABLE stdout RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "command exited with ${rc}: ${cmd}")
+if(NOT rc EQUAL EXPECT_RC)
+  message(FATAL_ERROR
+    "command exited with ${rc} (expected ${EXPECT_RC}): ${cmd}")
 endif()
 if(OUTPUT)
   if(NOT EXISTS "${OUTPUT}")

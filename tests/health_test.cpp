@@ -24,6 +24,28 @@ using telemetry::Watchdog;
 using telemetry::WatchdogConfig;
 using telemetry::WatchdogRule;
 
+// One schema rule per row: `doc` is a valid document with the first `from`
+// replaced by `to`, and the validator must reject the result.
+struct Mutation {
+  const char* rule;
+  const char* from;
+  const char* to;
+};
+
+template <typename Validate>
+void expect_each_mutation_rejected(const std::string& valid,
+                                   const std::vector<Mutation>& table,
+                                   Validate validate) {
+  ASSERT_TRUE(validate(valid).ok()) << validate(valid).to_string();
+  for (const Mutation& m : table) {
+    std::string doc = valid;
+    const std::size_t at = doc.find(m.from);
+    ASSERT_NE(at, std::string::npos) << m.rule;
+    doc.replace(at, std::string_view(m.from).size(), m.to);
+    EXPECT_FALSE(validate(doc).ok()) << m.rule << ": " << doc;
+  }
+}
+
 // ---------------------------------------------------------------- sampler
 
 TEST(Sampler, SamplesEveryBoundaryAcrossIdleJumps) {
@@ -167,6 +189,37 @@ TEST(Sampler, TimeseriesDocumentValidates) {
   std::string bad = doc;
   bad.replace(bad.find("timeseries.v1"), 13, "timeseries.v9");
   EXPECT_FALSE(telemetry::validate_timeseries_json(bad).ok());
+}
+
+TEST(Sampler, TimeseriesValidatorEnforcesEveryRule) {
+  const std::string valid =
+      R"({"schema": "dgiwarp.timeseries.v1", "runs": {"r": {)"
+      R"("interval_ns": 100, "samples": 2, "series": {"s": {)"
+      R"("kind": "counter", "recorded": 2, "dropped": 0, )"
+      R"("points": [[100, 1], [200, 2]]}}}}})"
+      "\n";
+  expect_each_mutation_rejected(
+      valid,
+      {
+          {"wrong schema", "timeseries.v1", "timeseries.v9"},
+          {"missing schema", R"("schema")", R"("other")"},
+          {"missing runs", R"("runs")", R"("other")"},
+          {"runs not an object", R"("runs": {"r")", R"("runs": ["r")"},
+          {"missing interval", R"("interval_ns")", R"("other")"},
+          {"zero interval", R"("interval_ns": 100)", R"("interval_ns": 0)"},
+          {"negative interval", R"("interval_ns": 100)",
+           R"("interval_ns": -100)"},
+          {"missing series", R"("series")", R"("other")"},
+          {"missing kind", R"("kind")", R"("other")"},
+          {"unknown kind", R"("counter")", R"("bogus")"},
+          {"missing points", R"("points")", R"("other")"},
+          {"repeated timestamp", "[200, 2]", "[100, 2]"},
+          {"decreasing timestamp", "[200, 2]", "[50, 2]"},
+          {"malformed point", "[200, 2]", "[200]"},
+          {"trailing garbage", "}\n", "}\n}"},
+          {"truncated", "}}}}}", "}}}}"},
+      },
+      telemetry::validate_timeseries_json);
 }
 
 // --------------------------------------------------------------- watchdog
@@ -358,6 +411,54 @@ TEST(FlightRecorder, DocumentValidatesAndCarriesTheStory) {
   std::string bad = doc;
   bad.replace(bad.find("flight.v1"), 9, "flight.v2");
   EXPECT_FALSE(telemetry::validate_flight_recorder_json(bad).ok());
+}
+
+TEST(FlightRecorder, ValidatorEnforcesEveryRule) {
+  const std::string valid =
+      R"({"schema": "dgiwarp.flight.v1", "reason": "why", )"
+      R"("watchdog": {"enabled": true, "trips": [)"
+      R"({"t": 1, "rule": "stuck_queue", "target": "q"}]}, )"
+      R"("trace": {"recorded": 2, "tail": [)"
+      R"({"t": 1, "kind": "link_drop"}, {"t": 2, "kind": "link_drop"}]}, )"
+      R"("counters": {"c": 1}})"
+      "\n";
+  expect_each_mutation_rejected(
+      valid,
+      {
+          {"wrong schema", "flight.v1", "flight.v2"},
+          {"missing schema", R"("schema")", R"("other")"},
+          {"empty reason", R"("why")", R"("")"},
+          {"missing reason", R"("reason")", R"("other")"},
+          {"missing watchdog", R"("watchdog")", R"("other")"},
+          {"watchdog not an object", R"("watchdog": {)", R"("watchdog": [)"},
+          {"missing trips", R"("trips")", R"("other")"},
+          {"trip without rule", R"("rule")", R"("other")"},
+          {"missing trace", R"("trace")", R"("other")"},
+          {"missing tail", R"("tail")", R"("other")"},
+          {"tail event without t", R"({"t": 1, "kind")",
+           R"({"x": 1, "kind")"},
+          {"tail event without kind", R"("kind")", R"("other")"},
+          {"tail out of order", R"({"t": 2,)", R"({"t": 0,)"},
+          {"missing counters", R"("counters")", R"("other")"},
+          {"trailing garbage", "}\n", "}\n,"},
+          {"truncated", "}}\n", "}\n"},
+      },
+      telemetry::validate_flight_recorder_json);
+}
+
+TEST(FlightRecorder, WatchTargetIsEscaped) {
+  // A target holding a tab and a newline must reach the document as JSON
+  // escapes, not as raw control bytes.
+  sim::Simulation sim;
+  auto& reg = sim.telemetry();
+  reg.watchdog().enable();
+  reg.watchdog().watch_queue("q\tx\n", [] { return 4.0; });
+  sim.run_until(30 * kMillisecond);
+  ASSERT_TRUE(reg.watchdog().tripped());
+
+  const std::string doc = telemetry::flight_recorder_json(reg, "escape");
+  EXPECT_NE(doc.find(R"("target": "q\tx\n")"), std::string::npos) << doc;
+  EXPECT_TRUE(telemetry::validate_flight_recorder_json(doc).ok());
 }
 
 TEST(FlightRecorder, DeterministicAcrossIdenticalRuns) {

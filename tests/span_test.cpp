@@ -224,8 +224,7 @@ TEST(SpanE2E, RdLossProducesRetransmitChildSpans) {
 }
 
 // With no capture requested, span tracking stays disabled: the measurement
-// runs record nothing and allocate nothing (the disabled-path guarantee
-// micro_stackops benchmarks for wall-clock cost).
+// runs record nothing and allocate nothing.
 TEST(SpanE2E, DisabledByDefault) {
   perf::Options opts;
   telemetry::Registry metrics;

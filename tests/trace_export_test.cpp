@@ -87,6 +87,21 @@ TEST(TraceExport, ValidatorRejectsBrokenDocuments) {
           "{\"ph\":\"B\",\"ts\":1.0,\"pid\":1,\"tid\":1,\"name\":\"x\"},"
           "{\"ph\":\"E\",\"ts\":2.0,\"pid\":1,\"tid\":1,\"name\":\"y\"}]}")
           .ok());
+  // E on another (pid, tid) track than its B.
+  EXPECT_FALSE(
+      validate_trace_event_json(
+          "{\"traceEvents\":["
+          "{\"ph\":\"B\",\"ts\":1.0,\"pid\":1,\"tid\":1,\"name\":\"x\"},"
+          "{\"ph\":\"E\",\"ts\":2.0,\"pid\":1,\"tid\":2,\"name\":\"x\"}]}")
+          .ok());
+  // Trailing garbage after a well-formed document.
+  EXPECT_FALSE(
+      validate_trace_event_json(
+          "{\"traceEvents\":["
+          "{\"ph\":\"i\",\"ts\":1.0,\"pid\":1,\"tid\":1}]}\n}")
+          .ok());
+  // An element that is not an object.
+  EXPECT_FALSE(validate_trace_event_json("{\"traceEvents\":[1]}").ok());
   // The minimal well-formed document passes.
   EXPECT_TRUE(
       validate_trace_event_json(
