@@ -4,10 +4,18 @@
 // minimize data copying"; GatherList/ScatterList are the equivalents here.
 #pragma once
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <initializer_list>
+#include <iterator>
+#include <limits>
+#include <memory>
 #include <span>
+#include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/memcount.hpp"
@@ -16,12 +24,231 @@
 
 namespace dgiwarp {
 
-// Counting allocator so every wire buffer in the stack feeds the
-// allocs-per-event self-metric (common/memcount.hpp). Layout-compatible
-// with std::vector<u8>; the allocator is stateless.
-using Bytes = std::vector<u8, mem::CountingAllocator<u8>>;
 using ByteSpan = std::span<u8>;
 using ConstByteSpan = std::span<const u8>;
+
+/// The owning byte buffer every wire path in the stack uses: the
+/// std::vector<u8> surface the tree needs, with every copy, fill and shift
+/// done as one memcpy/memmove/memset.
+///
+/// Why not std::vector<u8, mem::CountingAllocator<u8>>: libstdc++ keeps its
+/// memmove fast paths for std::allocator only; with any other allocator it
+/// copies, moves and inserts one element at a time through
+/// allocator_traits::construct, which at -O2 costs ~15x memcpy per byte.
+///
+/// Allocation still goes through mem::CountingAllocator and follows
+/// libstdc++'s rules exactly — exact-size for construction, copy, assign
+/// and reserve; `size + max(size, n)` when an append outgrows capacity; no
+/// request for zero bytes — so the mem:: tally sees the same requests as
+/// the vector it replaces. A moved-from buffer is empty with capacity 0.
+class Bytes {
+ public:
+  using value_type = u8;
+  using size_type = std::size_t;
+  using difference_type = std::ptrdiff_t;
+  using reference = u8&;
+  using const_reference = const u8&;
+  using pointer = u8*;
+  using const_pointer = const u8*;
+  using iterator = u8*;
+  using const_iterator = const u8*;
+
+  Bytes() noexcept = default;
+  explicit Bytes(size_type n) : Bytes(n, u8{0}) {}
+  Bytes(size_type n, u8 v) { assign(n, v); }
+  template <std::forward_iterator It>
+  Bytes(It first, It last) {
+    assign(first, last);
+  }
+  Bytes(std::initializer_list<u8> il) : Bytes(il.begin(), il.end()) {}
+
+  Bytes(const Bytes& o) : Bytes(o.begin(), o.end()) {}
+  Bytes(Bytes&& o) noexcept
+      : p_(std::exchange(o.p_, nullptr)),
+        size_(std::exchange(o.size_, 0)),
+        cap_(std::exchange(o.cap_, 0)) {}
+  Bytes& operator=(const Bytes& o) {
+    if (this != &o) assign(o.begin(), o.end());
+    return *this;
+  }
+  Bytes& operator=(Bytes&& o) noexcept {
+    if (this != &o) {
+      release();
+      p_ = std::exchange(o.p_, nullptr);
+      size_ = std::exchange(o.size_, 0);
+      cap_ = std::exchange(o.cap_, 0);
+    }
+    return *this;
+  }
+  ~Bytes() { release(); }
+
+  u8* data() noexcept { return p_; }
+  const u8* data() const noexcept { return p_; }
+  size_type size() const noexcept { return size_; }
+  size_type capacity() const noexcept { return cap_; }
+  bool empty() const noexcept { return size_ == 0; }
+
+  iterator begin() noexcept { return p_; }
+  iterator end() noexcept { return p_ + size_; }
+  const_iterator begin() const noexcept { return p_; }
+  const_iterator end() const noexcept { return p_ + size_; }
+
+  u8& operator[](size_type i) {
+    assert(i < size_);
+    return p_[i];
+  }
+  const u8& operator[](size_type i) const {
+    assert(i < size_);
+    return p_[i];
+  }
+
+  void reserve(size_type n) {
+    if (n > cap_) reallocate_exact(n);
+  }
+  /// Grows zero-filled; shrinking keeps the capacity.
+  void resize(size_type n) {
+    if (n > size_) {
+      if (n > cap_) grow_for(n - size_);
+      std::memset(p_ + size_, 0, n - size_);
+    }
+    size_ = n;
+  }
+  void clear() noexcept { size_ = 0; }
+
+  void assign(size_type n, u8 v) {
+    if (n > cap_) adopt(allocate(n), 0, n);
+    if (n) std::memset(p_, v, n);
+    size_ = n;
+  }
+  template <std::forward_iterator It>
+  void assign(It first, It last) {
+    const auto n = static_cast<size_type>(std::distance(first, last));
+    if (n > cap_) {
+      u8* fresh = allocate(n);
+      put(fresh, first, n);
+      adopt(fresh, n, n);
+    } else {
+      put(p_, first, n);
+      size_ = n;
+    }
+  }
+
+  void push_back(u8 v) {
+    if (size_ == cap_) grow_for(1);
+    p_[size_++] = v;
+  }
+
+  /// Insert [first, last) before `pos`. The range may lie inside this
+  /// buffer: the result is as if it had been copied out first.
+  template <std::forward_iterator It>
+  iterator insert(const_iterator pos, It first, It last) {
+    const auto at = static_cast<size_type>(pos - p_);
+    const auto n = static_cast<size_type>(std::distance(first, last));
+    if (n == 0) return p_ + at;
+    if (n > cap_ - size_) {
+      // Fresh block: the old one, and any source inside it, stays valid
+      // until every byte has been copied.
+      const size_type cap = grown_capacity(n);
+      u8* fresh = allocate(cap);
+      copy_bytes(fresh, p_, at);
+      put(fresh + at, first, n);
+      copy_bytes(fresh + at + n, p_ + at, size_ - at);
+      adopt(fresh, size_ + n, cap);
+      return p_ + at;
+    }
+    std::memmove(p_ + at + n, p_ + at, size_ - at);
+    size_ += n;
+    if constexpr (kContiguousBytes<It>) {
+      const u8* src = reinterpret_cast<const u8*>(std::to_address(first));
+      if (src >= p_ && src < p_ + size_) {
+        // Source bytes at or after `at` have just moved up by n.
+        const auto off = static_cast<size_type>(src - p_);
+        const size_type below = off < at ? std::min(n, at - off) : 0;
+        std::memmove(p_ + at, src, below);
+        std::memmove(p_ + at + below, p_ + std::max(off, at) + n, n - below);
+        return p_ + at;
+      }
+    }
+    put(p_ + at, first, n);
+    return p_ + at;
+  }
+
+  iterator erase(const_iterator first, const_iterator last) {
+    const auto a = static_cast<size_type>(first - p_);
+    const auto b = static_cast<size_type>(last - p_);
+    if (a != b) {
+      std::memmove(p_ + a, p_ + b, size_ - b);
+      size_ -= b - a;
+    }
+    return p_ + a;
+  }
+
+  void swap(Bytes& o) noexcept {
+    std::swap(p_, o.p_);
+    std::swap(size_, o.size_);
+    std::swap(cap_, o.cap_);
+  }
+  friend void swap(Bytes& a, Bytes& b) noexcept { a.swap(b); }
+
+  friend bool operator==(const Bytes& a, const Bytes& b) {
+    return a.size_ == b.size_ &&
+           (a.size_ == 0 || std::memcmp(a.p_, b.p_, a.size_) == 0);
+  }
+
+ private:
+  // Iterators whose elements are raw bytes laid out contiguously: copied
+  // with one memcpy.
+  template <typename It>
+  static constexpr bool kContiguousBytes =
+      std::contiguous_iterator<It> && sizeof(std::iter_value_t<It>) == 1 &&
+      std::is_trivially_copyable_v<std::iter_value_t<It>>;
+
+  static u8* allocate(size_type n) {
+    return n ? mem::CountingAllocator<u8>().allocate(n) : nullptr;
+  }
+  static void copy_bytes(u8* dst, const u8* src, size_type n) {
+    if (n) std::memcpy(dst, src, n);
+  }
+  // libstdc++'s _M_check_len: room for n more without quadratic regrowth.
+  size_type grown_capacity(size_type n) const {
+    constexpr auto kMax =
+        static_cast<size_type>(std::numeric_limits<difference_type>::max());
+    if (n > kMax - size_) throw std::length_error("Bytes: too large");
+    return std::min(size_ + std::max(size_, n), kMax);
+  }
+  void grow_for(size_type n) { reallocate_exact(grown_capacity(n)); }
+  void reallocate_exact(size_type n) {
+    u8* fresh = allocate(n);
+    copy_bytes(fresh, p_, size_);
+    adopt(fresh, size_, n);
+  }
+  void adopt(u8* fresh, size_type size, size_type cap) {
+    release();
+    p_ = fresh;
+    size_ = size;
+    cap_ = cap;
+  }
+  void release() noexcept {
+    if (p_) mem::CountingAllocator<u8>().deallocate(p_, cap_);
+  }
+  // Copy n elements from `first` to dst; dst may overlap a contiguous
+  // source only when the caller has allowed for it (assign in place).
+  template <typename It>
+  static void put(u8* dst, It first, size_type n) {
+    if constexpr (kContiguousBytes<It>) {
+      if (n)
+        std::memmove(dst, reinterpret_cast<const u8*>(std::to_address(first)),
+                     n);
+    } else {
+      for (size_type i = 0; i < n; ++i, ++first)
+        dst[i] = static_cast<u8>(*first);
+    }
+  }
+
+  u8* p_ = nullptr;
+  size_type size_ = 0;
+  size_type cap_ = 0;
+};
 
 /// A gather list: ordered non-owning views of source data to transmit.
 class GatherList {

@@ -2,9 +2,9 @@
 // paths.
 //
 // CountingAllocator is a std::allocator shim that bumps two global tallies
-// (allocation count, bytes requested) on every allocate(). The `Bytes`
-// alias in common/buffer.hpp routes every Frame payload / wire buffer in
-// the stack through it, which is what gives perfbench its
+// (allocation count, bytes requested) on every allocate(). `Bytes`
+// (common/buffer.hpp) and sim::Payload route every wire buffer and Frame
+// payload in the stack through it, which is what gives perfbench its
 // heap.bytes_path_share metric and fig13_incast its allocation series.
 //
 // The counters are plain (non-atomic) globals: the simulator is

@@ -4,17 +4,26 @@
 
 namespace dgiwarp::ddp {
 
+std::array<u8, kHeaderBytes> SegmentHeader::wire() const {
+  std::array<u8, kHeaderBytes> b{};
+  auto put = [&b](std::size_t at, u64 v, int bytes) {
+    for (int i = bytes - 1; i >= 0; --i, v >>= 8)
+      b[at + static_cast<std::size_t>(i)] = static_cast<u8>(v);
+  };
+  b[0] = control;
+  b[1] = queue;  // b[2..3]: reserved, zero
+  put(4, stag, 4);
+  put(8, to, 8);
+  put(16, msn, 4);
+  put(20, mo, 4);
+  put(24, msg_len, 4);
+  put(28, src_qpn, 4);
+  return b;
+}
+
 void SegmentHeader::serialize(Bytes& out) const {
-  WireWriter w(out);
-  w.u8be(control);
-  w.u8be(queue);
-  w.u16be(0);  // reserved
-  w.u32be(stag);
-  w.u64be(to);
-  w.u32be(msn);
-  w.u32be(mo);
-  w.u32be(msg_len);
-  w.u32be(src_qpn);
+  const std::array<u8, kHeaderBytes> b = wire();
+  out.insert(out.end(), b.begin(), b.end());
 }
 
 Result<SegmentHeader> SegmentHeader::parse(WireReader& r) {

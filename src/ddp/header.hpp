@@ -15,6 +15,8 @@
 // control = TAGGED | LAST | rdmap opcode (low nibble).
 #pragma once
 
+#include <array>
+
 #include "common/buffer.hpp"
 #include "common/status.hpp"
 
@@ -54,6 +56,8 @@ struct SegmentHeader {
                               (op & kCtrlOpcodeMask));
   }
 
+  /// The 32 header bytes, big-endian, as serialize() appends them.
+  std::array<u8, kHeaderBytes> wire() const;
   void serialize(Bytes& out) const;
   static Result<SegmentHeader> parse(WireReader& r);
 };

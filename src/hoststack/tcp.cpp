@@ -130,8 +130,8 @@ void TcpSocket::enter_established() {
 }
 
 std::size_t TcpSocket::send_buffer_space() const {
-  return snd_buf_limit_ > snd_buf_.size() ? snd_buf_limit_ - snd_buf_.size()
-                                          : 0;
+  const std::size_t queued = unacked().size();
+  return snd_buf_limit_ > queued ? snd_buf_limit_ - queued : 0;
 }
 
 std::size_t TcpSocket::send(ConstByteSpan data) {
@@ -148,6 +148,14 @@ std::size_t TcpSocket::send(ConstByteSpan data) {
                                           static_cast<double>(n)),
                       {telemetry::CostLayer::kTcp,
                        telemetry::CostActivity::kCopy, n});
+  // Acknowledged bytes are trimmed by advancing snd_head_; the dead prefix
+  // is reclaimed here once it outgrows the live bytes, so each byte is
+  // moved at most once on average.
+  if (snd_head_ > 0 && snd_head_ >= snd_buf_.size() - snd_head_) {
+    snd_buf_.erase(snd_buf_.begin(),
+                   snd_buf_.begin() + static_cast<long>(snd_head_));
+    snd_head_ = 0;
+  }
   snd_buf_.insert(snd_buf_.end(), data.begin(), data.begin() + static_cast<long>(n));
   try_send();
   return n;
@@ -251,11 +259,12 @@ void TcpSocket::handle_ack(const SegmentView& seg) {
     // Trim acked payload bytes from the send buffer (FIN/SYN occupy
     // sequence numbers but no buffer space).
     const u64 buf_seq = std::max(snd_una_, data_base);
-    if (seg.ack > buf_seq && !snd_buf_.empty()) {
-      const std::size_t bytes =
-          std::min<u64>(seg.ack - buf_seq, snd_buf_.size());
-      snd_buf_.erase(snd_buf_.begin(),
-                     snd_buf_.begin() + static_cast<long>(bytes));
+    if (seg.ack > buf_seq && !unacked().empty()) {
+      snd_head_ += std::min<u64>(seg.ack - buf_seq, unacked().size());
+      if (snd_head_ == snd_buf_.size()) {
+        snd_buf_.clear();
+        snd_head_ = 0;
+      }
     }
     snd_una_ = seg.ack;
     dup_acks_ = 0;
@@ -336,7 +345,12 @@ void TcpSocket::handle_data(const SegmentView& seg, bool tainted) {
       send_ack();
       return;
     }
-    if (!ooo_.contains(seq)) {
+    if (ooo_.empty() && seq == rcv_nxt_) {
+      // In order with nothing parked: straight to the application buffer.
+      rcv_nxt_ = seq + payload.size();
+      queue_for_app(payload);
+      wake_app(tainted, layer_.ctx().active_span);
+    } else if (!ooo_.contains(seq)) {
       ooo_.emplace(seq, OooSeg{Bytes(payload.begin(), payload.end()), tainted,
                                layer_.ctx().active_span});
       ooo_bytes_ += payload.size();
@@ -349,77 +363,82 @@ void TcpSocket::handle_data(const SegmentView& seg, bool tainted) {
   }
 }
 
+// Queue in-order stream bytes for the application wakeup.
+void TcpSocket::queue_for_app(ConstByteSpan bytes) {
+  delivered_bytes_ += bytes.size();
+  rx_app_buf_.insert(rx_app_buf_.end(), bytes.begin(), bytes.end());
+}
+
+void TcpSocket::wake_app(bool chunk_tainted, u64 chunk_span) {
+  // Coalesced delivery: in-order data accumulates until the (already
+  // scheduled) application wakeup fires; one wakeup drains everything
+  // queued by then — like a real kernel, where a single recv() returns
+  // all buffered stream data. The wakeup cost is therefore per-delivery,
+  // not per-segment, and amortises away under streaming load.
+  if (chunk_tainted) rx_app_tainted_ = true;
+  // A coalesced chunk can close several messages; the last contributing
+  // segment's span stands for the delivery (exact for ping-pong, an
+  // approximation under pipelining — see DESIGN.md §7).
+  if (chunk_span) rx_app_span_ = chunk_span;
+  if (!rx_delivery_scheduled_) {
+    rx_delivery_scheduled_ = true;
+    HostCtx& c = layer_.ctx();
+    auto self = shared_from_this();
+    c.sim.after(c.costs.rx_wakeup_delay, [self] {
+      self->rx_delivery_scheduled_ = false;
+      Bytes data = std::move(self->rx_app_buf_);
+      self->rx_app_buf_.clear();
+      const bool tainted = self->rx_app_tainted_;
+      self->rx_app_tainted_ = false;
+      const u64 span = self->rx_app_span_;
+      self->rx_app_span_ = 0;
+      if (data.empty()) return;
+      HostCtx& hc = self->layer_.ctx();
+      hc.sim.telemetry().spans().stage(span, telemetry::Stage::kRxWakeup);
+      hc.cpu.charge_kernel(hc.costs.tcp_deliver_fixed,
+                           {telemetry::CostLayer::kTcp,
+                            telemetry::CostActivity::kDeliver, 0});
+      // The copy cost must be computed before the call: the lambda's
+      // init-capture moves `data`, and argument evaluation order is
+      // unspecified.
+      const std::size_t nbytes = data.size();
+      hc.cpu.charge_kernel_then(
+          static_cast<TimeNs>(hc.costs.tcp_copy_ns_per_byte *
+                              static_cast<double>(nbytes)),
+          {telemetry::CostLayer::kTcp, telemetry::CostActivity::kCopy,
+           nbytes},
+          [self, tainted, span, data = std::move(data)] {
+            HostCtx& hcc = self->layer_.ctx();
+            hcc.sim.telemetry().spans().stage(
+                span, telemetry::Stage::kRxDeliver, data.size());
+            SpanScope scope(hcc, span);
+            if (self->on_data_) self->on_data_(ConstByteSpan{data}, tainted);
+          });
+    });
+  }
+}
+
 void TcpSocket::deliver_in_order() {
-  Bytes chunk;
+  std::size_t chunk_bytes = 0;
   bool chunk_tainted = false;
   u64 chunk_span = 0;
   while (true) {
     auto it = ooo_.begin();
     if (it == ooo_.end() || it->first > rcv_nxt_) break;
-    Bytes seg = std::move(it->second.data);
-    const bool seg_tainted = it->second.tainted;
-    if (it->second.span) chunk_span = it->second.span;
+    const OooSeg seg = std::move(it->second);
+    if (seg.span) chunk_span = seg.span;
     const u64 seq = it->first;
     ooo_.erase(it);
-    ooo_bytes_ -= std::min<std::size_t>(ooo_bytes_, seg.size());
+    ooo_bytes_ -= std::min<std::size_t>(ooo_bytes_, seg.data.size());
     std::size_t skip = 0;
     if (seq < rcv_nxt_) skip = rcv_nxt_ - seq;  // partial overlap
-    if (skip >= seg.size()) continue;
-    chunk.insert(chunk.end(), seg.begin() + static_cast<long>(skip), seg.end());
-    if (seg_tainted) chunk_tainted = true;
-    rcv_nxt_ = seq + seg.size();
+    if (skip >= seg.data.size()) continue;
+    queue_for_app(ConstByteSpan{seg.data}.subspan(skip));
+    chunk_bytes += seg.data.size() - skip;
+    if (seg.tainted) chunk_tainted = true;
+    rcv_nxt_ = seq + seg.data.size();
   }
-
-  if (!chunk.empty()) {
-    delivered_bytes_ += chunk.size();
-    // Coalesced delivery: in-order data accumulates until the (already
-    // scheduled) application wakeup fires; one wakeup drains everything
-    // queued by then — like a real kernel, where a single recv() returns
-    // all buffered stream data. The wakeup cost is therefore per-delivery,
-    // not per-segment, and amortises away under streaming load.
-    rx_app_buf_.insert(rx_app_buf_.end(), chunk.begin(), chunk.end());
-    if (chunk_tainted) rx_app_tainted_ = true;
-    // A coalesced chunk can close several messages; the last contributing
-    // segment's span stands for the delivery (exact for ping-pong, an
-    // approximation under pipelining — see DESIGN.md §7).
-    if (chunk_span) rx_app_span_ = chunk_span;
-    if (!rx_delivery_scheduled_) {
-      rx_delivery_scheduled_ = true;
-      HostCtx& c = layer_.ctx();
-      auto self = shared_from_this();
-      c.sim.after(c.costs.rx_wakeup_delay, [self] {
-        self->rx_delivery_scheduled_ = false;
-        Bytes data = std::move(self->rx_app_buf_);
-        self->rx_app_buf_.clear();
-        const bool tainted = self->rx_app_tainted_;
-        self->rx_app_tainted_ = false;
-        const u64 span = self->rx_app_span_;
-        self->rx_app_span_ = 0;
-        if (data.empty()) return;
-        HostCtx& hc = self->layer_.ctx();
-        hc.sim.telemetry().spans().stage(span, telemetry::Stage::kRxWakeup);
-        hc.cpu.charge_kernel(hc.costs.tcp_deliver_fixed,
-                             {telemetry::CostLayer::kTcp,
-                              telemetry::CostActivity::kDeliver, 0});
-        // The copy cost must be computed before the call: the lambda's
-        // init-capture moves `data`, and argument evaluation order is
-        // unspecified.
-        const std::size_t nbytes = data.size();
-        hc.cpu.charge_kernel_then(
-            static_cast<TimeNs>(hc.costs.tcp_copy_ns_per_byte *
-                                static_cast<double>(nbytes)),
-            {telemetry::CostLayer::kTcp, telemetry::CostActivity::kCopy,
-             nbytes},
-            [self, tainted, span, data = std::move(data)] {
-              HostCtx& hcc = self->layer_.ctx();
-              hcc.sim.telemetry().spans().stage(
-                  span, telemetry::Stage::kRxDeliver, data.size());
-              SpanScope scope(hcc, span);
-              if (self->on_data_) self->on_data_(ConstByteSpan{data}, tainted);
-            });
-      });
-    }
-  }
+  if (chunk_bytes > 0) wake_app(chunk_tainted, chunk_span);
 
   // Process FIN once all data before it has been consumed.
   if (fin_received_ && rcv_nxt_ == fin_seq_) {
@@ -466,14 +485,9 @@ void TcpSocket::try_send() {
     return;
 
   const u64 data_base = iss_ + 1;
-  const u64 buffered_end = data_base + snd_buf_.size() +
-                           (snd_buf_.empty() && snd_una_ > data_base
-                                ? snd_una_ - data_base
-                                : (snd_una_ > data_base ? snd_una_ - data_base : 0));
   // Sequence of the first unsent byte is snd_nxt_; bytes available to send:
   const u64 acked_prefix = snd_una_ > data_base ? snd_una_ - data_base : 0;
-  const u64 stream_end = data_base + acked_prefix + snd_buf_.size();
-  (void)buffered_end;
+  const u64 stream_end = data_base + acked_prefix + unacked().size();
 
   const u64 wnd = std::min<u64>(static_cast<u64>(cwnd_), peer_wnd_);
   while (snd_nxt_ < stream_end) {
@@ -487,7 +501,7 @@ void TcpSocket::try_send() {
     const std::size_t buf_off =
         static_cast<std::size_t>(snd_nxt_ - data_base - acked_prefix);
     send_segment(snd_nxt_,
-                 ConstByteSpan{snd_buf_}.subspan(buf_off, can_send),
+                 unacked().subspan(buf_off, can_send),
                  kFlagAck, false);
     if (!rtt_pending_) {
       rtt_pending_ = true;
@@ -614,11 +628,11 @@ void TcpSocket::retransmit_head() {
     return;
   }
   const u64 acked_prefix = snd_una_ > data_base ? snd_una_ - data_base : 0;
-  const u64 stream_end = data_base + acked_prefix + snd_buf_.size();
-  if (snd_una_ < stream_end && !snd_buf_.empty()) {
+  const u64 stream_end = data_base + acked_prefix + unacked().size();
+  if (snd_una_ < stream_end && !unacked().empty()) {
     const std::size_t n = static_cast<std::size_t>(
         std::min<u64>({stream_end - snd_una_, kTcpMss}));
-    send_segment(snd_una_, ConstByteSpan{snd_buf_}.subspan(0, n), kFlagAck,
+    send_segment(snd_una_, unacked().subspan(0, n), kFlagAck,
                  true);
   } else if (fin_sent_ && snd_una_ == stream_end) {
     send_segment(snd_una_, {}, kFlagFin | kFlagAck, true);

@@ -109,6 +109,8 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   void handle_ack(const SegmentView& seg);
   void handle_data(const SegmentView& seg, bool tainted);
   void deliver_in_order();
+  void queue_for_app(ConstByteSpan bytes);
+  void wake_app(bool chunk_tainted, u64 chunk_span);
   void try_send();
   void send_segment(u64 seq, ConstByteSpan payload, u8 flags, bool retx);
   void send_ack();
@@ -117,6 +119,9 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   void retransmit_head();
   void update_rtt(TimeNs sample);
   std::size_t flight_size() const;
+  ConstByteSpan unacked() const {
+    return ConstByteSpan{snd_buf_}.subspan(snd_head_);
+  }
   void to_state(State s);
   void notify_close();
   void destroy();
@@ -126,8 +131,10 @@ class TcpSocket : public std::enable_shared_from_this<TcpSocket> {
   Endpoint remote_;
   State state_ = State::kClosed;
 
-  // Send side. snd_buf_[0] corresponds to sequence snd_una_.
+  // Send side. snd_buf_[snd_head_] corresponds to sequence snd_una_; the
+  // bytes before it are acknowledged and await compaction (see send()).
   Bytes snd_buf_;
+  std::size_t snd_head_ = 0;
   std::size_t snd_buf_limit_ = 256 * 1024;
   u64 iss_ = 0;       // initial send sequence
   u64 snd_una_ = 0;   // oldest unacknowledged

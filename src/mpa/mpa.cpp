@@ -72,22 +72,32 @@ void MpaSender::emit(Bytes& out, ConstByteSpan raw) {
   }
 }
 
-Bytes MpaSender::frame(ConstByteSpan ulpdu) {
+void MpaSender::frame_into(Bytes& out, ConstByteSpan head,
+                           ConstByteSpan payload) {
   fpdu_start_ = pos_;
-  Bytes fpdu;
-  fpdu.reserve(kLengthBytes + ulpdu.size() + 8);
-  WireWriter w(fpdu);
-  w.u16be(static_cast<u16>(ulpdu.size()));
-  w.bytes(ulpdu);
-  for (std::size_t i = 0; i < pad_for(ulpdu.size()); ++i) w.u8be(0);
-  if (cfg_.use_crc) {
-    const u32 crc = crc32_ieee(ConstByteSpan{fpdu});
-    w.u32be(crc);
+  const std::size_t len = head.size() + payload.size();
+  const u8 len_be[kLengthBytes] = {static_cast<u8>(len >> 8),
+                                   static_cast<u8>(len)};
+  static constexpr u8 kZeros[4] = {};
+  const ConstByteSpan pad{kZeros, pad_for(len)};
+  Crc32 crc;
+  for (ConstByteSpan piece : {ConstByteSpan{len_be}, head, payload, pad}) {
+    emit(out, piece);
+    if (cfg_.use_crc) crc.update(piece);
   }
+  if (cfg_.use_crc) {
+    const u32 c = crc.final();
+    const u8 crc_be[kCrcBytes] = {static_cast<u8>(c >> 24),
+                                  static_cast<u8>(c >> 16),
+                                  static_cast<u8>(c >> 8), static_cast<u8>(c)};
+    emit(out, crc_be);
+  }
+}
+
+Bytes MpaSender::frame(ConstByteSpan ulpdu) {
   Bytes out;
-  out.reserve(fpdu.size() + fpdu.size() / kMarkerInterval * kMarkerBytes +
-              kMarkerBytes);
-  emit(out, ConstByteSpan{fpdu});
+  out.reserve(framed_size(ulpdu.size(), pos_, cfg_));
+  frame_into(out, ulpdu, {});
   return out;
 }
 
@@ -170,12 +180,9 @@ Status MpaReceiver::process_defragged() {
 
     ++delivered_;
     const bool fpdu_tainted = take_taint(total);
-    if (handler_) {
-      handler_(Bytes(pending_.begin() + static_cast<long>(head + kLengthBytes),
-                     pending_.begin() + static_cast<long>(head + kLengthBytes +
-                                                          len)),
+    if (handler_)
+      handler_(ConstByteSpan{pending_}.subspan(head + kLengthBytes, len),
                fpdu_tainted);
-    }
     head += total;
   }
   if (head > 0)

@@ -17,6 +17,7 @@
 
 #include <deque>
 #include <functional>
+#include <type_traits>
 
 #include "common/buffer.hpp"
 #include "common/crc32.hpp"
@@ -51,6 +52,11 @@ class MpaSender {
  public:
   explicit MpaSender(MpaConfig cfg = {}) : cfg_(cfg) {}
 
+  /// Frame the ULPDU `head ‖ payload` (e.g. a DDP header and its payload)
+  /// and append the FPDU — length, ULPDU, pad, markers and CRC — to `out`,
+  /// copying each byte once. The CRC is taken over the source pieces.
+  void frame_into(Bytes& out, ConstByteSpan head, ConstByteSpan payload);
+
   /// Frame one ULPDU; returns the exact bytes to append to the TCP stream.
   Bytes frame(ConstByteSpan ulpdu);
 
@@ -69,14 +75,25 @@ class MpaSender {
 /// CRCs and yields complete ULPDUs in order.
 class MpaReceiver {
  public:
-  /// (ULPDU, corruption taint). `tainted` mirrors the simulator's oracle:
-  /// true when any stream byte of the FPDU rode a corrupted frame — with
-  /// the MPA CRC on it can only be true for a CRC32 collision.
-  using UlpduHandler = std::function<void(Bytes, bool tainted)>;
+  /// (ULPDU, corruption taint). The ULPDU is a view into the receiver's
+  /// de-markered buffer, valid only for the call. `tainted` mirrors the
+  /// simulator's oracle: true when any stream byte of the FPDU rode a
+  /// corrupted frame — with the MPA CRC on it can only be true for a CRC32
+  /// collision.
+  using UlpduHandler = std::function<void(ConstByteSpan, bool tainted)>;
 
   explicit MpaReceiver(MpaConfig cfg = {}) : cfg_(cfg) {}
 
   void on_ulpdu(UlpduHandler h) { handler_ = std::move(h); }
+  /// A handler that takes an owned `Bytes` gets its own copy of the ULPDU.
+  template <typename F>
+    requires(!std::is_invocable_v<F&, ConstByteSpan, bool> &&
+             std::is_invocable_v<F&, Bytes, bool>)
+  void on_ulpdu(F h) {
+    handler_ = [h = std::move(h)](ConstByteSpan u, bool tainted) mutable {
+      h(Bytes(u.begin(), u.end()), tainted);
+    };
+  }
 
   /// Feed stream bytes (any fragmentation). Returns an error if a CRC fails
   /// or a length field is nonsensical; the stream is then poisoned (per the

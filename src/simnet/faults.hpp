@@ -127,21 +127,38 @@ class LinkFlapLoss final : public LossModel {
   TimeNs phase_;
 };
 
+/// One edit a CorruptionModel makes to a frame: flip the bits of
+/// `xor_mask` in byte `offset`, or, when `xor_mask == 0`, truncate the
+/// payload to `offset` bytes.
+struct Strike {
+  std::size_t offset = 0;
+  u8 xor_mask = 0;
+};
+
 /// Damages frame payloads in flight. Unlike LossModel the frame survives —
 /// possibly with flipped bits or a missing tail — which is exactly what the
-/// stack's CRCs / checksums exist to catch. `corrupt` mutates `payload` in
-/// place and returns true if it changed anything; Link then marks the frame
-/// corrupted so upper layers can account for silent escapes when CRC is off.
+/// stack's CRCs / checksums exist to catch. A model decides from a
+/// read-only view: `plan` appends its strikes for this frame, in the order
+/// they apply, drawing the same random numbers as damaging in place. Link
+/// copies the payload only when there is a strike, then marks the frame
+/// corrupted so upper layers can account for silent escapes when CRC is
+/// off.
 class CorruptionModel {
  public:
   virtual ~CorruptionModel();
-  virtual bool corrupt(Rng& rng, TimeNs now, Bytes& payload) = 0;
+  virtual void plan(Rng& rng, TimeNs now, ConstByteSpan payload,
+                    std::vector<Strike>& out) = 0;
+
+  /// Apply `strikes` to `payload` in order.
+  static void apply(const std::vector<Strike>& strikes, Bytes& payload);
+  /// Plan and apply in place; true if anything struck.
+  bool corrupt(Rng& rng, TimeNs now, Bytes& payload);
 };
 
 /// Never corrupts (default).
 class NoCorruption final : public CorruptionModel {
  public:
-  bool corrupt(Rng&, TimeNs, Bytes&) override { return false; }
+  void plan(Rng&, TimeNs, ConstByteSpan, std::vector<Strike>&) override {}
 };
 
 /// Independent per-byte bit errors: each payload byte is hit with
@@ -152,16 +169,18 @@ class BernoulliCorruption final : public CorruptionModel {
   explicit BernoulliCorruption(double byte_error_rate)
       : rate_(byte_error_rate) {}
 
-  bool corrupt(Rng& rng, TimeNs, Bytes& payload) override {
-    if (rate_ <= 0.0) return false;
-    bool changed = false;
-    for (auto& b : payload) {
-      if (rng.chance(rate_)) {
-        b ^= static_cast<u8>(1u << rng.below(8));
-        changed = true;
-      }
-    }
-    return changed;
+  void plan(Rng& rng, TimeNs, ConstByteSpan payload,
+            std::vector<Strike>& out) override {
+    plan_bit_errors(rng, rate_, payload.size(), out);
+  }
+
+  /// One chance draw per byte; a hit draws which bit flips.
+  static void plan_bit_errors(Rng& rng, double rate, std::size_t len,
+                              std::vector<Strike>& out) {
+    if (rate <= 0.0) return;
+    for (std::size_t i = 0; i < len; ++i)
+      if (rng.chance(rate))
+        out.push_back({i, static_cast<u8>(1u << rng.below(8))});
   }
 
  private:
@@ -179,22 +198,15 @@ class GilbertElliottCorruption final : public CorruptionModel {
       : p_g2b_(p_g2b), p_b2g_(p_b2g), rate_good_(rate_good),
         rate_bad_(rate_bad) {}
 
-  bool corrupt(Rng& rng, TimeNs, Bytes& payload) override {
+  void plan(Rng& rng, TimeNs, ConstByteSpan payload,
+            std::vector<Strike>& out) override {
     if (bad_) {
       if (rng.chance(p_b2g_)) bad_ = false;
     } else {
       if (rng.chance(p_g2b_)) bad_ = true;
     }
-    const double rate = bad_ ? rate_bad_ : rate_good_;
-    if (rate <= 0.0) return false;
-    bool changed = false;
-    for (auto& b : payload) {
-      if (rng.chance(rate)) {
-        b ^= static_cast<u8>(1u << rng.below(8));
-        changed = true;
-      }
-    }
-    return changed;
+    BernoulliCorruption::plan_bit_errors(rng, bad_ ? rate_bad_ : rate_good_,
+                                         payload.size(), out);
   }
 
  private:
@@ -226,26 +238,25 @@ class TargetedCorruption final : public CorruptionModel {
               });
   }
 
-  bool corrupt(Rng&, TimeNs, Bytes& payload) override {
+  void plan(Rng&, TimeNs, ConstByteSpan payload,
+            std::vector<Strike>& out) override {
     ++count_;
     while (cursor_ < targets_.size() && targets_[cursor_].frame < count_)
       ++cursor_;
-    bool changed = false;
+    std::size_t len = payload.size();  // as earlier strikes leave it
     while (cursor_ < targets_.size() && targets_[cursor_].frame == count_) {
       const CorruptTarget& t = targets_[cursor_++];
-      if (payload.empty()) continue;
+      if (len == 0) continue;
       if (t.xor_mask == 0) {
-        const std::size_t keep = std::min(t.offset, payload.size());
-        if (keep < payload.size()) {
-          payload.resize(keep);
-          changed = true;
+        const std::size_t keep = std::min(t.offset, len);
+        if (keep < len) {
+          out.push_back({keep, 0});
+          len = keep;
         }
       } else {
-        payload[t.offset % payload.size()] ^= t.xor_mask;
-        changed = true;
+        out.push_back({t.offset % len, t.xor_mask});
       }
     }
-    return changed;
   }
 
  private:
@@ -261,11 +272,11 @@ class TruncationCorruption final : public CorruptionModel {
  public:
   explicit TruncationCorruption(double rate) : rate_(rate) {}
 
-  bool corrupt(Rng& rng, TimeNs, Bytes& payload) override {
-    if (rate_ <= 0.0 || payload.empty()) return false;
-    if (!rng.chance(rate_)) return false;
-    payload.resize(rng.below(payload.size()));
-    return true;
+  void plan(Rng& rng, TimeNs, ConstByteSpan payload,
+            std::vector<Strike>& out) override {
+    if (rate_ <= 0.0 || payload.empty()) return;
+    if (!rng.chance(rate_)) return;
+    out.push_back({static_cast<std::size_t>(rng.below(payload.size())), 0});
   }
 
  private:

@@ -130,11 +130,14 @@ void Link::transmit(Frame f) {
   // consults the corruption model, and serialization time was charged for
   // the original length even if the model truncates the tail. The payload
   // is shared with every other copy of this frame (flood siblings, a
-  // duplicate), so the model damages a private copy, and the frame takes
-  // it only if the model changed something.
+  // duplicate), so the model plans from a read-only view, and only a frame
+  // it strikes is copied and damaged.
   if (faults_.corruption && !f.payload.empty()) {
-    Bytes damaged(f.payload.begin(), f.payload.end());
-    if (faults_.corruption->corrupt(frng, sim_.now(), damaged)) {
+    strikes_.clear();
+    faults_.corruption->plan(frng, sim_.now(), f.payload.span(), strikes_);
+    if (!strikes_.empty()) {
+      Bytes damaged(f.payload.begin(), f.payload.end());
+      CorruptionModel::apply(strikes_, damaged);
       f.payload = Payload(ConstByteSpan{damaged});
       f.corrupted = true;
       ++stats_.frames_corrupted;

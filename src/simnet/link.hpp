@@ -95,6 +95,7 @@ class Link {
   std::string name_;
   Receiver rx_;
   Faults faults_;
+  std::vector<Strike> strikes_;  // scratch for the corruption model's plan
   TimeNs busy_until_ = 0;
   LinkStats stats_;
   mutable std::deque<TimeNs> departures_;  // tx_done of queued frames

@@ -62,7 +62,7 @@ class RcQueuePair final : public QueuePair,
   void attach_socket(host::TcpSocket::Ptr sock);
   void on_tcp_data(ConstByteSpan stream, bool tainted);
   void on_handshake_complete();
-  void on_ulpdu(Bytes ulpdu, bool tainted);
+  void on_ulpdu(ConstByteSpan ulpdu, bool tainted);
   void handle_untagged(const ddp::ParsedSegment& seg, rdmap::Opcode op);
   void handle_tagged(const ddp::ParsedSegment& seg, rdmap::Opcode op);
   void respond_read(const ddp::ParsedSegment& seg);

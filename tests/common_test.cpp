@@ -2,8 +2,12 @@
 // statistics and the memory ledger.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/buffer.hpp"
+#include "common/checksum.hpp"
 #include "common/crc32.hpp"
+#include "common/memcount.hpp"
 #include "common/memledger.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -51,6 +55,224 @@ TEST(Crc32, DetectsSingleBitFlips) {
     EXPECT_NE(crc32_ieee(ConstByteSpan{data}), good);
     data[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
   }
+}
+
+// The folded PCLMULQDQ kernel must agree with slice-by-8 on every length,
+// alignment and split (it runs only on x86 CPUs that have the instruction;
+// elsewhere update_clmul is the table kernel and this test is trivially
+// true).
+TEST(Crc32, ClmulMatchesSliceBy8) {
+  if (!crc32_detail::clmul_supported())
+    GTEST_LOG_(INFO) << "no PCLMULQDQ here: comparing the table with itself";
+  const Bytes data = make_pattern(64 * 1024 + 64, 11);
+  auto both = [&](std::size_t off, std::size_t len, u32 state) {
+    const ConstByteSpan s = ConstByteSpan{data}.subspan(off, len);
+    return std::pair{crc32_detail::update_clmul(state, s),
+                     crc32_detail::update_table(state, s)};
+  };
+  for (std::size_t len = 0; len <= 1024; ++len) {
+    for (std::size_t align = 0; align < 16; ++align) {
+      const auto [clmul, table] = both(align, len, 0xFFFFFFFFu);
+      ASSERT_EQ(clmul, table) << "len " << len << " align " << align;
+    }
+  }
+  Rng rng(5);
+  for (int i = 0; i < 200; ++i) {
+    const std::size_t len = rng.below(64 * 1024 + 1);
+    const std::size_t align = rng.below(16);
+    const u32 state = static_cast<u32>(rng.next_u64());
+    const auto [clmul, table] = both(align, len, state);
+    ASSERT_EQ(clmul, table) << "len " << len << " align " << align;
+  }
+  // Split incremental updates: any cut gives the one-shot CRC.
+  const ConstByteSpan all = ConstByteSpan{data}.subspan(3, 5000);
+  const u32 whole = crc32_detail::update_table(0xFFFFFFFFu, all);
+  for (int i = 0; i < 200; ++i) {
+    std::size_t a = rng.below(all.size() + 1);
+    std::size_t b = rng.below(all.size() + 1);
+    if (a > b) std::swap(a, b);
+    u32 st = crc32_detail::update_clmul(0xFFFFFFFFu, all.subspan(0, a));
+    st = crc32_detail::update_clmul(st, all.subspan(a, b - a));
+    st = crc32_detail::update_clmul(st, all.subspan(b));
+    ASSERT_EQ(st, whole) << a << "," << b;
+  }
+  Crc32 inc;
+  inc.update(all.subspan(0, 100));
+  inc.update(all.subspan(100));
+  EXPECT_EQ(inc.final(), ~whole);
+  EXPECT_EQ(crc32_ieee(all), ~whole);
+}
+
+// The RFC 1071 byte-pair loop the 64-bit checksum replaced.
+u16 checksum_by_pairs(ConstByteSpan data) {
+  u32 sum = 0;
+  std::size_t i = 0;
+  for (; i + 1 < data.size(); i += 2)
+    sum += (u32{data[i]} << 8) | data[i + 1];
+  if (i < data.size()) sum += u32{data[i]} << 8;
+  while (sum >> 16) sum = (sum & 0xFFFFu) + (sum >> 16);
+  return static_cast<u16>(~sum);
+}
+
+TEST(InternetChecksum, MatchesBytePairLoop) {
+  Rng rng(17);
+  Bytes data(70'000);
+  for (auto& b : data) b = static_cast<u8>(rng.next_u64());
+  for (std::size_t len = 0; len <= 300; ++len) {
+    for (std::size_t off : {std::size_t{0}, std::size_t{1}, std::size_t{3}}) {
+      const ConstByteSpan s = ConstByteSpan{data}.subspan(off, len);
+      ASSERT_EQ(internet_checksum(s), checksum_by_pairs(s))
+          << "len " << len << " off " << off;
+    }
+  }
+  for (int i = 0; i < 300; ++i) {
+    const std::size_t len = rng.below(65'536) | (i & 1);  // odd lengths too
+    const ConstByteSpan s = ConstByteSpan{data}.subspan(rng.below(8), len);
+    ASSERT_EQ(internet_checksum(s), checksum_by_pairs(s)) << len;
+  }
+  // Carry-heavy and all-zero inputs, where ones'-complement +0 / -0 differ.
+  for (u8 fill : {u8{0x00}, u8{0xFF}, u8{0x80}}) {
+    for (std::size_t len : {std::size_t{1}, std::size_t{2}, std::size_t{9},
+                            std::size_t{64}, std::size_t{65'535}}) {
+      const Bytes f(len, fill);
+      EXPECT_EQ(internet_checksum(ConstByteSpan{f}),
+                checksum_by_pairs(ConstByteSpan{f}))
+          << int{fill} << " x " << len;
+    }
+  }
+  // A segment carrying its own checksum (in a word-aligned field) sums to
+  // 0xFFFF, whose complement is 0.
+  Bytes seg = make_pattern(100, 4);
+  seg.push_back(0);
+  seg.push_back(0);
+  const u16 c = internet_checksum(ConstByteSpan{seg});
+  seg[100] = static_cast<u8>(c >> 8);
+  seg[101] = static_cast<u8>(c);
+  EXPECT_EQ(internet_checksum(ConstByteSpan{seg}), 0);
+}
+
+// Bytes against the std::vector it replaced: the same contents after every
+// operation, and the same mem:: allocation requests (count and bytes).
+TEST(BytesDifferential, MatchesCountingVector) {
+  using Ref = std::vector<u8, mem::CountingAllocator<u8>>;
+  Rng rng(23);
+  auto tally_of = [](auto&& op) {
+    const mem::AllocTally before = mem::snapshot();
+    op();
+    return mem::delta(before);
+  };
+  for (int round = 0; round < 40; ++round) {
+    Bytes b;
+    Ref r;
+    for (int step = 0; step < 300; ++step) {
+      const u64 kind = rng.below(12);
+      const std::size_t n = rng.below(kind < 6 ? 40 : 3000);
+      const u8 v = static_cast<u8>(rng.next_u64());
+      const Bytes src = make_pattern(n, static_cast<u32>(step));
+      const std::size_t pos = rng.below(r.size() + 1);
+      mem::AllocTally tb, tr;
+      switch (kind) {
+        case 0:
+          tb = tally_of([&] { b.push_back(v); });
+          tr = tally_of([&] { r.push_back(v); });
+          break;
+        case 1:
+        case 6:  // a growing insert from another buffer
+          tb = tally_of([&] { b.insert(b.begin() + pos, src.begin(), src.end()); });
+          tr = tally_of([&] { r.insert(r.begin() + pos, src.begin(), src.end()); });
+          break;
+        case 2:
+        case 7: {  // a self-aliasing insert: a slice of the buffer itself
+          const std::size_t a = rng.below(r.size() + 1);
+          const std::size_t len = rng.below(r.size() - a + 1);
+          // The vector's range insert may not alias; copy the slice out
+          // first (std::allocator: not on the mem:: tally).
+          const std::vector<u8> slice(r.begin() + a, r.begin() + a + len);
+          tb = tally_of([&] {
+            b.insert(b.begin() + pos, b.begin() + a, b.begin() + a + len);
+          });
+          tr = tally_of([&] { r.insert(r.begin() + pos, slice.begin(), slice.end()); });
+          break;
+        }
+        case 3: {
+          const std::size_t len = rng.below(r.size() - pos + 1);
+          tb = tally_of([&] { b.erase(b.begin() + pos, b.begin() + pos + len); });
+          tr = tally_of([&] { r.erase(r.begin() + pos, r.begin() + pos + len); });
+          break;
+        }
+        case 4:
+        case 8:
+          tb = tally_of([&] { b.resize(n); });
+          tr = tally_of([&] { r.resize(n); });
+          break;
+        case 5:
+          tb = tally_of([&] { b.reserve(n); });
+          tr = tally_of([&] { r.reserve(n); });
+          break;
+        case 9:
+          tb = tally_of([&] { b.assign(n, v); });
+          tr = tally_of([&] { r.assign(n, v); });
+          break;
+        case 10:
+          tb = tally_of([&] { b.assign(src.begin(), src.end()); });
+          tr = tally_of([&] { r.assign(src.begin(), src.end()); });
+          break;
+        case 11: {  // copy, copy-assign and move round trips
+          tb = tally_of([&] {
+            Bytes c(b);
+            Bytes d;
+            d = c;
+            b = std::move(d);
+            EXPECT_TRUE(d.empty());
+            EXPECT_EQ(d.capacity(), 0u);
+          });
+          tr = tally_of([&] {
+            Ref c(r);
+            Ref d;
+            d = c;
+            r = std::move(d);
+          });
+          break;
+        }
+      }
+      ASSERT_EQ(tb.count, tr.count) << "round " << round << " step " << step
+                                    << " op " << kind;
+      ASSERT_EQ(tb.bytes, tr.bytes) << "round " << round << " step " << step
+                                    << " op " << kind;
+      ASSERT_EQ(b.size(), r.size());
+      ASSERT_EQ(b.capacity(), r.capacity());
+      ASSERT_TRUE(std::equal(b.begin(), b.end(), r.begin()))
+          << "round " << round << " step " << step << " op " << kind;
+    }
+  }
+}
+
+TEST(BytesDifferential, VectorSurface) {
+  const Bytes il = {1, 2, 3};
+  const Bytes filled(4, 7);
+  EXPECT_EQ(filled, Bytes({7, 7, 7, 7}));
+  EXPECT_EQ(Bytes(3), Bytes({0, 0, 0}));
+  const std::string text = "abc";
+  EXPECT_EQ(Bytes(text.begin(), text.end()), Bytes({'a', 'b', 'c'}));
+  Bytes a = il;
+  a.erase(a.begin(), a.begin() + 1);
+  EXPECT_EQ(a, Bytes({2, 3}));
+  Bytes b;
+  a.swap(b);
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(b, Bytes({2, 3}));
+  b.clear();
+  EXPECT_TRUE(b.empty());
+  EXPECT_GE(b.capacity(), 2u);
+  Bytes moved = std::move(b);
+  EXPECT_EQ(b.capacity(), 0u);
+  EXPECT_EQ(b.data(), nullptr);
+  // A zero-sized buffer never asks the allocator for anything.
+  const mem::AllocTally before = mem::snapshot();
+  Bytes none(0);
+  Bytes none_copy(none);
+  none_copy.reserve(0);
+  EXPECT_EQ(mem::delta(before).count, 0u);
 }
 
 TEST(GatherList, CopyOutAtOffsets) {

@@ -256,6 +256,80 @@ TEST(Tcp, RecoversFromPacketLoss) {
   EXPECT_GT(p.client->retransmissions(), 0u);
 }
 
+// The receive fast path (in-order bytes straight to the application
+// buffer) and the reorder path (parked in ooo_) must together deliver the
+// exact stream. The link reorders, duplicates and drops 1 % of frames.
+struct LossyTransfer {
+  TcpPair p;
+  Bytes data = make_pattern(4 * MiB, 21);
+  std::vector<std::pair<std::size_t, bool>> chunks;  // (bytes, tainted)
+
+  explicit LossyTransfer(sim::Faults f) {
+    p.n.a.tcp().set_min_rto(5 * kMillisecond);
+    p.n.b.tcp().set_min_rto(5 * kMillisecond);
+    p.connect();
+    p.server->on_data([this](ConstByteSpan d, bool tainted) {
+      p.server_rx.insert(p.server_rx.end(), d.begin(), d.end());
+      chunks.emplace_back(d.size(), tainted);
+    });
+    f.reorder_rate = 0.05;
+    f.reorder_delay = 30 * kMicrosecond;
+    f.dup_rate = 0.02;
+    p.n.topo.host_uplink(0).set_faults(std::move(f));
+  }
+
+  bool run() {
+    std::size_t sent = 0;
+    std::function<void()> pump = [&] {
+      while (sent < data.size()) {
+        const std::size_t nn = p.client->send(ConstByteSpan{data}.subspan(sent));
+        if (nn == 0) break;
+        sent += nn;
+      }
+    };
+    p.client->on_writable(pump);
+    pump();
+    return p.n.topo.sim().run_while_pending(
+        [&] { return p.server_rx.size() >= data.size(); }, 120 * kSecond);
+  }
+};
+
+TEST(Tcp, LossyReorderedDuplicatedTransferIsExact) {
+  LossyTransfer t(sim::Faults::bernoulli(0.01));
+  ASSERT_TRUE(t.run()) << "got " << t.p.server_rx.size();
+  EXPECT_EQ(t.p.server_rx, t.data);
+  EXPECT_GT(t.p.client->retransmissions(), 0u);
+  for (const auto& [bytes, tainted] : t.chunks) EXPECT_FALSE(tainted);
+}
+
+// With checksum validation off, damaged segments reach the application,
+// and every damaged byte arrives in a chunk flagged tainted — whichever
+// receive path (in order or reordered) carried it.
+TEST(Tcp, TaintFollowsDamagedBytesThroughBothReceivePaths) {
+  sim::Faults f = sim::Faults::bernoulli(0.01);
+  std::vector<sim::CorruptTarget> targets;
+  for (u64 frame = 100; frame <= 3000; frame += 97)
+    targets.push_back({frame, 700, 0x5A});  // inside the TCP payload
+  f.corruption = std::make_unique<sim::TargetedCorruption>(std::move(targets));
+  LossyTransfer t(std::move(f));
+  t.p.n.b.tcp().set_validate_checksum(false);
+  ASSERT_TRUE(t.run()) << "got " << t.p.server_rx.size();
+  ASSERT_EQ(t.p.server_rx.size(), t.data.size());
+
+  std::size_t off = 0, damaged = 0, tainted_chunks = 0;
+  for (const auto& [bytes, tainted] : t.chunks) {
+    tainted_chunks += tainted ? 1 : 0;
+    for (std::size_t i = off; i < off + bytes; ++i) {
+      if (t.p.server_rx[i] == t.data[i]) continue;
+      ++damaged;
+      ASSERT_TRUE(tainted) << "damaged byte " << i << " arrived untainted";
+    }
+    off += bytes;
+  }
+  EXPECT_GT(damaged, 0u);
+  EXPECT_GT(tainted_chunks, 0u);
+}
+
 TEST(Tcp, GracefulCloseReachesPeer) {
   TcpPair p;
   p.connect();

@@ -3,6 +3,9 @@
 // same ULPDU sequence) and the MULPDU arithmetic.
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "mpa/mpa.hpp"
 
@@ -113,6 +116,94 @@ TEST(Mpa, MaxUlpduFitsStreamBudget) {
           << "markers=" << markers << " pos=" << pos;
     }
   }
+}
+
+// The FPDU layout spelled out step by step (stage the FPDU, CRC it, then
+// lace markers in by absolute stream position): the oracle the one-pass
+// framer is checked against.
+Bytes reference_fpdu(ConstByteSpan ulpdu, u64 pos, const MpaConfig& cfg) {
+  Bytes fpdu;
+  WireWriter w(fpdu);
+  w.u16be(static_cast<u16>(ulpdu.size()));
+  w.bytes(ulpdu);
+  while (fpdu.size() % 4 != 0) w.u8be(0);
+  if (cfg.use_crc) w.u32be(crc32_ieee(ConstByteSpan{fpdu}));
+  Bytes out;
+  const u64 start = pos;
+  for (const u8 b : fpdu) {
+    if (cfg.use_markers && pos > 0 && pos % mpa::kMarkerInterval == 0) {
+      const u64 back = pos - start;
+      WireWriter m(out);
+      m.u16be(0);
+      m.u16be(static_cast<u16>(back));
+      pos += mpa::kMarkerBytes;
+    }
+    out.push_back(b);
+    ++pos;
+  }
+  return out;
+}
+
+TEST(Mpa, FrameIntoMatchesFrameAtEveryStreamPhase) {
+  const Bytes head = make_pattern(32, 3);
+  for (const bool markers : {true, false}) {
+    for (const bool crc : {true, false}) {
+      MpaConfig cfg;
+      cfg.use_markers = markers;
+      cfg.use_crc = crc;
+      // FPDUs and markers are multiples of 4 bytes, so the stream phase
+      // (position mod 512) is too; a lead-in FPDU of each length in turn
+      // moves the next FPDU through all 128 of them. One is unreachable
+      // with markers and CRC: a stream never stands 4 bytes past a marker
+      // (the FPDU that needed the marker continues after it), so phase 4
+      // exists only at the stream start, where the shortest FPDU with a
+      // CRC already takes 8 bytes.
+      std::set<u64> phases;
+      for (std::size_t lead = 0; lead < 520; ++lead) {
+        MpaSender a(cfg), b(cfg);
+        const Bytes lead_in = make_pattern(lead, 1);
+        (void)a.frame(ConstByteSpan{lead_in});
+        Bytes sink;
+        b.frame_into(sink, ConstByteSpan{lead_in}, {});
+        const u64 pos = a.stream_position();
+        ASSERT_EQ(pos, b.stream_position());
+        phases.insert(pos % mpa::kMarkerInterval);
+
+        const Bytes payload = make_pattern(1400 + lead % 7, 4);
+        Bytes ulpdu = head;
+        ulpdu.insert(ulpdu.end(), payload.begin(), payload.end());
+        const Bytes want = reference_fpdu(ConstByteSpan{ulpdu}, pos, cfg);
+        ASSERT_EQ(a.frame(ConstByteSpan{ulpdu}), want)
+            << "markers=" << markers << " crc=" << crc << " pos=" << pos;
+        Bytes out = bytes_of("prefix");
+        b.frame_into(out, ConstByteSpan{head}, ConstByteSpan{payload});
+        ASSERT_EQ(Bytes(out.begin() + 6, out.end()), want)
+            << "markers=" << markers << " crc=" << crc << " pos=" << pos;
+        EXPECT_EQ(a.stream_position(), b.stream_position());
+      }
+      EXPECT_EQ(phases.size(),
+                mpa::kMarkerInterval / 4 - (markers && crc ? 1 : 0))
+          << "markers=" << markers << " crc=" << crc;
+    }
+  }
+}
+
+// A handler may take the ULPDU as a view (valid for the call) or as an
+// owned Bytes (a copy); both see the same bytes.
+TEST(Mpa, ViewAndOwningHandlersSeeTheSameUlpdu) {
+  MpaSender tx;
+  const Bytes ulpdu = make_pattern(999, 8);
+  const Bytes stream = tx.frame(ConstByteSpan{ulpdu});
+  MpaReceiver by_view, by_copy;
+  Bytes viewed, owned;
+  by_view.on_ulpdu([&](ConstByteSpan u, bool) {
+    viewed.assign(u.begin(), u.end());
+  });
+  by_copy.on_ulpdu([&](Bytes u, bool) { owned = std::move(u); });
+  ASSERT_TRUE(by_view.consume(ConstByteSpan{stream}).ok());
+  ASSERT_TRUE(by_copy.consume(ConstByteSpan{stream}).ok());
+  EXPECT_EQ(viewed, ulpdu);
+  EXPECT_EQ(owned, ulpdu);
 }
 
 // Property: any re-chunking of the framed stream (as TCP may deliver it)

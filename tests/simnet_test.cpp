@@ -518,6 +518,68 @@ TEST(Faults, TruncationCorruptionCutsSuffix) {
   EXPECT_EQ(intact.size(), 100u);
 }
 
+// A corruption model that does not strike costs no payload copy: Link asks
+// it for a plan from a read-only view and copies only on a strike.
+TEST(Link, NonStrikingCorruptionModelCopiesNothing) {
+  sim::Simulation s;
+  Rng rng(1);
+  sim::LinkParams p;
+  p.bandwidth_bps = 1e9;
+  p.propagation = 0;
+  sim::Link link(s, rng, p, "l");
+  sim::Faults f;
+  f.corruption = std::make_unique<sim::TargetedCorruption>(
+      std::vector<sim::CorruptTarget>{{3, 0, 0x01}});
+  link.set_faults(std::move(f));
+  std::vector<sim::Frame> rx;
+  rx.reserve(3);
+  link.set_receiver([&](sim::Frame fr) { rx.push_back(std::move(fr)); });
+
+  auto send = [&](u64 id) {
+    sim::Frame fr;
+    fr.id = id;
+    fr.payload = sim::Payload(1500, 0x55);
+    const u8* const sent = fr.payload.data();
+    const mem::AllocTally before = mem::snapshot();
+    link.transmit(std::move(fr));
+    s.run();
+    return std::pair{mem::delta(before).count, sent};
+  };
+  for (u64 id = 1; id <= 2; ++id) {
+    const auto [allocs, sent] = send(id);
+    EXPECT_EQ(allocs, 0u) << "frame " << id;
+    EXPECT_EQ(rx.back().payload.data(), sent);  // the very same block
+    EXPECT_FALSE(rx.back().corrupted);
+  }
+  // The third frame is struck: it is copied, and the sender's block is
+  // left intact.
+  const auto [allocs, sent] = send(3);
+  EXPECT_GT(allocs, 0u);
+  EXPECT_NE(rx.back().payload.data(), sent);
+  EXPECT_TRUE(rx.back().corrupted);
+  EXPECT_EQ(rx.back().payload[0], 0x55 ^ 0x01);
+}
+
+// Planning from a view draws exactly what damaging in place did: the same
+// seed gives the same strikes as applying them through corrupt().
+TEST(Faults, PlanDrawsMatchInPlaceCorruption) {
+  sim::GilbertElliottCorruption a(0.1, 0.3, 0.001, 0.05);
+  sim::GilbertElliottCorruption b(0.1, 0.3, 0.001, 0.05);
+  Rng ra(9), rb(9);
+  for (int i = 0; i < 500; ++i) {
+    const Bytes orig = make_pattern(64 + static_cast<std::size_t>(i), 2);
+    Bytes damaged = orig;
+    const bool hit = a.corrupt(ra, 0, damaged);
+    std::vector<sim::Strike> plan;
+    b.plan(rb, 0, ConstByteSpan{orig}, plan);
+    EXPECT_EQ(hit, !plan.empty());
+    Bytes replay = orig;
+    sim::CorruptionModel::apply(plan, replay);
+    ASSERT_EQ(replay, damaged) << "frame " << i;
+  }
+  EXPECT_EQ(ra.next_u64(), rb.next_u64());
+}
+
 TEST(Link, CorruptionMarksFrameAndCountsAndTraces) {
   sim::Simulation s;
   s.telemetry().trace().enable(16);
